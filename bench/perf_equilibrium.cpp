@@ -50,6 +50,33 @@ void direct_gibbs_rho_e(benchmark::State& state) {
   }
 }
 
+// solve_ph from a cold start: the first call of any stagnation solve.
+void direct_gibbs_ph_cold(benchmark::State& state) {
+  const auto& eq = solver();
+  double h = 5e6;
+  for (auto _ : state) {
+    const auto r = eq.solve_ph(1.0e4, h);
+    benchmark::DoNotOptimize(r.t);
+    h = h < 2e7 ? h + 1e5 : 5e6;
+  }
+}
+
+// solve_ph seeded by the previous state of an enthalpy sweep: the access
+// pattern of the stagnation-line property table.
+void direct_gibbs_ph_hinted(benchmark::State& state) {
+  const auto& eq = solver();
+  double h = 5e6;
+  auto prev = eq.solve_ph(1.0e4, h);
+  for (auto _ : state) {
+    h = h < 2e7 ? h + 1e5 : 5e6;
+    prev = eq.solve_ph(1.0e4, h, &prev);
+    // A const copy: the read-write DoNotOptimize overload may route a
+    // double through an integer register, which must not touch the hint.
+    const double t = prev.t;
+    benchmark::DoNotOptimize(t);
+  }
+}
+
 void table_lookup(benchmark::State& state) {
   const auto& tab = table();
   double e = 5e6;
@@ -65,4 +92,6 @@ void table_lookup(benchmark::State& state) {
 
 BENCHMARK(direct_gibbs_tp);
 BENCHMARK(direct_gibbs_rho_e);
+BENCHMARK(direct_gibbs_ph_cold);
+BENCHMARK(direct_gibbs_ph_hinted);
 BENCHMARK(table_lookup);

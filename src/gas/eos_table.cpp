@@ -41,30 +41,26 @@ EquilibriumEosTable::EquilibriumEosTable(const EquilibriumSolver& solver,
                                                 dle, range.n_e));
 
   // Each density row sweeps temperature upward with warm-started Newton
-  // element potentials, then maps onto the energy nodes. Rows are
-  // independent -> OpenMP.
+  // element potentials (every solve is seeded by the previous node's
+  // state), then maps onto the energy nodes.
   const std::size_t nt = 192;
   const double t_lo = 160.0, t_hi = 42000.0;
 
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-  for (std::ptrdiff_t ir = 0; ir < static_cast<std::ptrdiff_t>(range.n_rho);
-       ++ir) {
+  for (std::size_t ir = 0; ir < range.n_rho; ++ir) {
     const double rho = std::exp(lr0 + dlr * static_cast<double>(ir));
     std::vector<double> e_of_t(nt), p_of_t(nt), t_grid(nt);
     std::vector<std::vector<double>> y_of_t(nt);
     double mbar = 0.0288;
+    EquilibriumResult st;
     // Fixed sweep over the temperature grid (not an iteration budget, so
     // the induction variable is deliberately not named `it`).
     for (std::size_t row = 0; row < nt; ++row) {
       const double t = t_lo * std::pow(t_hi / t_lo,
                                        static_cast<double>(row) /
                                            static_cast<double>(nt - 1));
-      EquilibriumResult st;
       for (int k = 0; k < 30; ++k) {
         const double p = rho * kRu * t / mbar;
-        st = solver.solve_tp(t, p);
+        st = solver.solve_tp(t, p, &st);
         if (std::fabs(st.molar_mass - mbar) < 1e-13) break;
         mbar = st.molar_mass;
       }

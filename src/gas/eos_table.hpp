@@ -30,8 +30,8 @@ class EquilibriumEosTable {
     std::size_t n_e = 48;
   };
 
-  /// Build by sampling \p solver over \p range. Sampling cost is
-  /// O(n_rho * n_e) equilibrium solves (done once, OpenMP-parallel).
+  /// Build by sampling \p solver over \p range: one warm-started
+  /// temperature sweep of equilibrium solves per density row (done once).
   EquilibriumEosTable(const EquilibriumSolver& solver, const Range& range);
 
   std::size_t n_species() const { return n_species_; }

@@ -112,9 +112,21 @@ double LuFactor::determinant() const {
   return d;
 }
 
-void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
-  const std::size_t n = a.rows();
-  CAT_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
+namespace {
+
+/// Row-major n x n view of caller-owned storage with Matrix's (i, j)
+/// access, so the LU kernels below serve both.
+template <class T>
+struct RowMajorView {
+  T* d;
+  std::size_t n;
+  T& operator()(std::size_t i, std::size_t j) const { return d[i * n + j]; }
+};
+
+/// LU with partial pivoting of \p a (anything indexed as a(i, j)); false
+/// when the matrix is numerically singular.
+template <class M>
+bool lu_factor_core(M& a, std::size_t n, std::span<std::size_t> piv) {
   CAT_REQUIRE(piv.size() == n, "pivot array size mismatch");
   for (std::size_t i = 0; i < n; ++i) piv[i] = i;
   for (std::size_t k = 0; k < n; ++k) {
@@ -127,9 +139,7 @@ void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
         p = i;
       }
     }
-    if (pmax < 1e-300) {
-      throw SolverError("lu_factor_inplace: matrix is numerically singular");
-    }
+    if (pmax < 1e-300) return false;
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
       std::swap(piv[k], piv[p]);
@@ -142,11 +152,12 @@ void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
       for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= m * a(k, j);
     }
   }
+  return true;
 }
 
-void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,
-                      std::span<double> b, std::span<double> scratch) {
-  const std::size_t n = lu.rows();
+template <class M>
+void lu_solve_core(const M& lu, std::size_t n, std::span<const std::size_t> piv,
+                   std::span<double> b, std::span<double> scratch) {
   CAT_REQUIRE(b.size() == n && scratch.size() >= n, "rhs size mismatch");
   std::span<double> x = scratch.first(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]];
@@ -161,6 +172,33 @@ void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,
     x[ii] = acc / lu(ii, ii);
   }
   for (std::size_t i = 0; i < n; ++i) b[i] = x[i];
+}
+
+}  // namespace
+
+void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
+  CAT_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
+  if (!lu_factor_core(a, a.rows(), piv))
+    throw SolverError("lu_factor_inplace: matrix is numerically singular");
+}
+
+void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,
+                      std::span<double> b, std::span<double> scratch) {
+  lu_solve_core(lu, lu.rows(), piv, b, scratch);
+}
+
+bool try_lu_factor_inplace(std::span<double> a, std::size_t n,
+                           std::span<std::size_t> piv) {
+  CAT_REQUIRE(a.size() == n * n, "LU requires a square matrix");
+  RowMajorView<double> v{a.data(), n};
+  return lu_factor_core(v, n, piv);
+}
+
+void lu_solve_inplace(std::span<const double> lu, std::size_t n,
+                      std::span<const std::size_t> piv, std::span<double> b,
+                      std::span<double> scratch) {
+  CAT_REQUIRE(lu.size() == n * n, "LU requires a square matrix");
+  lu_solve_core(RowMajorView<const double>{lu.data(), n}, n, piv, b, scratch);
 }
 
 // cat-lint: allow-alloc (value-returning convenience API)

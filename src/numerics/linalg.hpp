@@ -105,6 +105,16 @@ void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv);
 void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,
                       std::span<double> b, std::span<double> scratch);
 
+/// The same pair on caller-owned row-major \p n x \p n storage (fixed-size
+/// stack workspaces). try_lu_factor_inplace returns false instead of
+/// throwing when the matrix is numerically singular, for callers that
+/// regularize and retry.
+bool try_lu_factor_inplace(std::span<double> a, std::size_t n,
+                           std::span<std::size_t> piv);
+void lu_solve_inplace(std::span<const double> lu, std::size_t n,
+                      std::span<const std::size_t> piv, std::span<double> b,
+                      std::span<double> scratch);
+
 /// Convenience: solve the dense system A x = b (single use).
 std::vector<double> solve(const Matrix& a, std::span<const double> b);
 

@@ -98,10 +98,12 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
     const double h_lo = std::min(h_w, he[i]) - 0.02 * std::fabs(h_total);
     const double h_hi = h_total * 1.02;
     const double reme = rho_e[i] * mu_e[i];
+    // The sweep climbs in enthalpy from the wall: each node seeds the next.
+    gas::EquilibriumResult st = wall;
     for (std::size_t k = 0; k < nt; ++k) {
       const double h = h_lo + (h_hi - h_lo) * static_cast<double>(k) /
                                   static_cast<double>(nt - 1);
-      const auto st = eq_.solve_ph(p_loc, h);
+      st = eq_.solve_ph(p_loc, h, &st);
       const double mu = trans.viscosity(st.y, st.t);
       const double pr = trans.prandtl(st.y, st.t);
       h_nodes[k] = h;

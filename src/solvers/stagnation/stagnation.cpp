@@ -23,6 +23,11 @@ StagnationLineSolver::StagnationLineSolver(const gas::EquilibriumSolver& eq,
 
 ShockLayerEdge StagnationLineSolver::shock_layer_edge(
     const StagnationConditions& c) const {
+  return edge_state(c).first;
+}
+
+std::pair<ShockLayerEdge, gas::EquilibriumResult>
+StagnationLineSolver::edge_state(const StagnationConditions& c) const {
   CAT_REQUIRE(c.velocity > 0.0 && c.rho_inf > 0.0 && c.p_inf > 0.0,
               "bad freestream");
   // Freestream enthalpy from the cold equilibrium state at (T_inf, p_inf).
@@ -34,15 +39,19 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
   // fixed point (solvers/vsl), which throws on a stalled iteration instead
   // of exiting silently; the post-shock state is then re-evaluated once at
   // the converged ratio. This solver keeps its own stagnation-pressure
-  // closure (p2 + recovered post-shock kinetic head) below.
+  // closure (p2 + recovered post-shock kinetic head) below. Each
+  // post-shock inversion is seeded by the previous iterate's state.
+  gas::EquilibriumResult post;
   const PitotSolution pitot = solve_rayleigh_pitot(
-      [this](double p2, double h2) { return eq_.solve_ph(p2, h2).rho; },
+      [&](double p2, double h2) {
+        post = eq_.solve_ph(p2, h2, &post);
+        return post.rho;
+      },
       {v, c.rho_inf, c.p_inf, c.t_inf}, h1, /*eps0=*/0.1,
       /*max_iters=*/120);
   const double eps = pitot.eps;
-  const gas::EquilibriumResult post =
-      eq_.solve_ph(c.p_inf + c.rho_inf * v * v * (1.0 - eps),
-                   h1 + 0.5 * v * v * (1.0 - eps * eps));
+  post = eq_.solve_ph(c.p_inf + c.rho_inf * v * v * (1.0 - eps),
+                      h1 + 0.5 * v * v * (1.0 - eps * eps), &post);
 
   ShockLayerEdge e;
   e.rho2 = post.rho;
@@ -54,24 +63,24 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
   // Stagnation edge: recover the small post-shock kinetic head.
   e.p_stag = e.p2 + 0.5 * e.rho2 * e.u2 * e.u2;
   e.h_stag = h1 + 0.5 * v * v;
-  const auto stag = eq_.solve_ph(e.p_stag, e.h_stag);
+  gas::EquilibriumResult stag = eq_.solve_ph(e.p_stag, e.h_stag, &post);
   e.t_stag = stag.t;
   e.rho_stag = stag.rho;
   // Shock standoff: classic blunt-body correlation delta = 0.78 eps R.
   e.standoff = 0.78 * eps * c.nose_radius;
-  return e;
+  return {e, std::move(stag)};
 }
 
 StagnationSolution StagnationLineSolver::solve(
     const StagnationConditions& c) const {
-  const ShockLayerEdge edge = shock_layer_edge(c);
+  const auto [edge, stag] = edge_state(c);
+  // Wall state at T_w: cold equilibrium composition at the wall.
+  const auto wall_state = eq_.solve_tp(c.wall_temperature_K, edge.p_stag);
   // The similarity formulation normalizes by the edge total enthalpy; it
   // requires genuinely hypersonic conditions (h_e well above the wall
   // enthalpy). Below that the boundary-layer problem is not the one this
   // solver models.
-  if (edge.h_stag < 2.0e5 ||
-      edge.h_stag < 2.0 * std::fabs(
-                        eq_.solve_tp(c.wall_temperature_K, edge.p_stag).h)) {
+  if (edge.h_stag < 2.0e5 || edge.h_stag < 2.0 * std::fabs(wall_state.h)) {
     throw SolverError(
         "StagnationLineSolver: edge enthalpy too low (non-hypersonic)");
   }
@@ -81,13 +90,6 @@ StagnationSolution StagnationLineSolver::solve(
 
   // ---- enthalpy-parameterized property tables across the layer --------
   // g = h/h_edge in [g_wall*0.8, 1.02]; all states at p = p_stag.
-  const auto wall_state = eq_.solve_ph(
-      edge.p_stag,
-      [&] {
-        // Wall enthalpy at T_w: cold equilibrium composition at the wall.
-        const auto w = eq_.solve_tp(c.wall_temperature_K, edge.p_stag);
-        return w.h;
-      }());
   const double h_e = edge.h_stag;
   const double g_w = wall_state.h / h_e;
   const double g_lo = std::min(g_w * 0.8, g_w - 1e-4);
@@ -97,15 +99,14 @@ StagnationSolution StagnationLineSolver::solve(
   std::vector<double> g_nodes(nt), c_chap(nt), c_over_pr(nt), rho_tab(nt),
       t_tab(nt), mu_tab(nt);
   std::vector<std::vector<double>> x_tab(nt);
-  const double rho_e_mu_e = [&] {
-    const auto st = eq_.solve_ph(edge.p_stag, h_e);
-    return st.rho * trans.viscosity(st.y, st.t);
-  }();
+  const double rho_e_mu_e = stag.rho * trans.viscosity(stag.y, stag.t);
+  // The sweep climbs in enthalpy from the wall: each node seeds the next.
+  gas::EquilibriumResult st = wall_state;
   for (std::size_t k = 0; k < nt; ++k) {
     const double g =
         g_lo + (g_hi - g_lo) * static_cast<double>(k) /
                    static_cast<double>(nt - 1);
-    const auto st = eq_.solve_ph(edge.p_stag, g * h_e);
+    st = eq_.solve_ph(edge.p_stag, g * h_e, &st);
     const double mu = trans.viscosity(st.y, st.t);
     const double pr = trans.prandtl(st.y, st.t);
     g_nodes[k] = g;
@@ -256,16 +257,15 @@ StagnationSolution StagnationLineSolver::solve(
   // Extend to the shock with the uniform inviscid equilibrium layer.
   const double y_bl = out.y_phys.back();
   if (edge.standoff > y_bl) {
-    const auto post = eq_.solve_ph(edge.p_stag, h_e);
     const std::size_t n_ext = 12;
     for (std::size_t k = 1; k <= n_ext; ++k) {
       const double y = y_bl + (edge.standoff - y_bl) *
                                   static_cast<double>(k) /
                                   static_cast<double>(n_ext);
       out.y_phys.push_back(y);
-      out.temperature.push_back(post.t);
+      out.temperature.push_back(stag.t);
       for (std::size_t s = 0; s < ns; ++s)
-        out.species_x[s].push_back(post.x[s]);
+        out.species_x[s].push_back(stag.x[s]);
     }
   }
 

@@ -16,6 +16,7 @@
 ///  3. Tangent-slab radiative transport across the full shock layer
 ///     (boundary-layer profile + inviscid equilibrium slab).
 
+#include <utility>
 #include <vector>
 
 #include "gas/equilibrium.hpp"
@@ -80,6 +81,10 @@ class StagnationLineSolver {
   StagnationSolution solve(const StagnationConditions& c) const;
 
  private:
+  /// Step 1 with the equilibrium state at the stagnation edge.
+  std::pair<ShockLayerEdge, gas::EquilibriumResult> edge_state(
+      const StagnationConditions& c) const;
+
   const gas::EquilibriumSolver& eq_;
   StagnationOptions opt_;
   radiation::RadiationModel rad_;

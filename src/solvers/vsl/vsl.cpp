@@ -423,10 +423,14 @@ std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
 
   // Stagnation pressure coefficient from the equilibrium normal shock
   // (Rayleigh-pitot density-ratio fixed point, shared with the PNS
-  // front end).
+  // front end); each post-shock inversion is seeded by the previous one.
+  gas::EquilibriumResult st;
   const PitotSolution pitot = solve_rayleigh_pitot(
-      [this](double p2, double h2) { return eq_.solve_ph(p2, h2).rho; }, fs,
-      cold.h);
+      [&](double p2, double h2) {
+        st = eq_.solve_ph(p2, h2, &st);
+        return st.rho;
+      },
+      fs, cold.h);
   const double cp_max = (pitot.p_stag - fs.p) / q_dyn;
 
   std::vector<MarchEdge> edges;
@@ -444,7 +448,7 @@ std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
     // Thin shock layer: tangential velocity preserved across the shock.
     e.ue = std::max(fs.velocity * std::cos(pt.theta), 30.0);
     e.h_e = h_total - 0.5 * e.ue * e.ue;
-    const auto st = eq_.solve_ph(e.p_e, e.h_e);
+    st = eq_.solve_ph(e.p_e, e.h_e, &st);
     e.rho_e = st.rho;
     e.t_e = st.t;
     e.mu_e = trans.viscosity(st.y, st.t);

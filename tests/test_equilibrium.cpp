@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "core/error.hpp"
 #include "gas/equilibrium.hpp"
 #include "gas/species.hpp"
 
@@ -210,5 +213,141 @@ INSTANTIATE_TEST_SUITE_P(
                       TpCase{10000.0, 1e2}, TpCase{12000.0, 1e5},
                       TpCase{18000.0, 1e3}, TpCase{25000.0, 1e4},
                       TpCase{30000.0, 1e5}));
+
+
+// ---- inversions: safeguarded Newton on T with warm element potentials ----
+
+struct NamedSolver {
+  const char* name;
+  EquilibriumSolver eq;
+};
+
+const std::vector<NamedSolver>& inversion_gases() {
+  static const std::vector<NamedSolver> gases = {
+      {"air5", air_solver(make_air5())},
+      {"air11", air_solver(make_air11())},
+      {"titan", EquilibriumSolver(make_titan(), {{"N2", 0.95}, {"CH4", 0.05}})}};
+  return gases;
+}
+
+constexpr double kSweepT[] = {200.0,  300.0,  600.0,   1500.0,  3000.0,
+                              5000.0, 8000.0, 12000.0, 20000.0, 30000.0};
+constexpr double kSweepP[] = {1.0e2, 1.0e4, 1.0e6};
+
+bool near_rel(double a, double b, double rel) {
+  return std::fabs(a - b) <= rel * std::fabs(b);
+}
+
+TEST(EquilibriumInversion, EnthalpyInversionRoundTrips) {
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP)
+      for (double t : kSweepT) {
+        const auto ref = eq.solve_tp(t, p);
+        const auto back = eq.solve_ph(p, ref.h);
+        EXPECT_TRUE(near_rel(back.t, t, 1e-8)) << name << " " << p << " " << t;
+        EXPECT_TRUE(near_rel(back.rho, ref.rho, 1e-8)) << name << " " << p << " " << t;
+      }
+}
+
+TEST(EquilibriumInversion, EnergyInversionRoundTrips) {
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP)
+      for (double t : kSweepT) {
+        const auto ref = eq.solve_tp(t, p);
+        const auto back = eq.solve_rho_e(ref.rho, ref.e);
+        EXPECT_TRUE(near_rel(back.t, t, 1e-8)) << name << " " << p << " " << t;
+        EXPECT_TRUE(near_rel(back.p, p, 1e-8)) << name << " " << p << " " << t;
+        EXPECT_TRUE(near_rel(back.rho, ref.rho, 1e-8)) << name << " " << p << " " << t;
+      }
+}
+
+TEST(EquilibriumInversion, IsentropeRoundTrips) {
+  // Compress by 1.5 and expand back: the state must come home. (The
+  // factor keeps the hottest compressed state below the 40000 K clamp.)
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP)
+      for (double t : kSweepT) {
+        const auto ref = eq.solve_tp(t, p);
+        const auto up = eq.expand_isentropic(ref, 1.5 * p);
+        EXPECT_GT(up.t, t) << name << " " << p << " " << t;
+        EXPECT_TRUE(near_rel(eq.entropy(up), eq.entropy(ref), 1e-10));
+        const auto back = eq.expand_isentropic(up, p);
+        EXPECT_TRUE(near_rel(back.t, t, 1e-8)) << name << " " << p << " " << t;
+        EXPECT_TRUE(near_rel(back.rho, ref.rho, 1e-8)) << name << " " << p << " " << t;
+      }
+}
+
+void expect_same_state(const EquilibriumResult& a, const EquilibriumResult& b,
+                       double rel, const std::string& where) {
+  EXPECT_TRUE(near_rel(a.t, b.t, rel)) << where << " t " << a.t << " " << b.t;
+  EXPECT_TRUE(near_rel(a.p, b.p, rel)) << where << " p " << a.p << " " << b.p;
+  EXPECT_TRUE(near_rel(a.rho, b.rho, rel)) << where << " rho";
+  EXPECT_NEAR(a.h, b.h, rel * (std::fabs(b.h) + 1e6)) << where << " h";
+  for (std::size_t s = 0; s < a.x.size(); ++s)
+    EXPECT_NEAR(a.x[s], b.x[s], rel) << where << " x[" << s << "]";
+}
+
+TEST(EquilibriumInversion, HintedSolvesMatchColdSolves) {
+  // A hint changes the path, not the answer: seed every inversion from a
+  // neighbour 10 % hotter at 20 % lower pressure.
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP)
+      for (double t : kSweepT) {
+        const auto ref = eq.solve_tp(t, p);
+        const auto near = eq.solve_tp(1.1 * t, 0.8 * p);
+        const std::string where = std::string(name) + " " +
+                                  std::to_string(p) + " " + std::to_string(t);
+        expect_same_state(eq.solve_tp(t, p, &near), ref, 1e-10, where + " tp");
+        expect_same_state(eq.solve_ph(p, ref.h, &near), eq.solve_ph(p, ref.h),
+                          1e-10, where + " ph");
+        expect_same_state(eq.solve_rho_e(ref.rho, ref.e, &near),
+                          eq.solve_rho_e(ref.rho, ref.e), 1e-10,
+                          where + " rho_e");
+      }
+  // Below ~30 K the Titan cold start stalls and solve_tp takes the
+  // temperature-continuation path; a hinted solve lands on the same state.
+  const auto& titan = inversion_gases()[2].eq;
+  const auto cold = titan.solve_tp(30.0, 1.0e4);
+  const auto near = titan.solve_tp(40.0, 1.0e4);
+  expect_same_state(titan.solve_tp(30.0, 1.0e4, &near), cold, 1e-10,
+                    "titan continuation");
+}
+
+TEST(EquilibriumInversion, OutOfBracketTargetsClampToTheBracketStates) {
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP) {
+      const std::string where = std::string(name) + " " + std::to_string(p);
+      const auto lo = eq.solve_tp(150.0, p);
+      const auto hi = eq.solve_tp(40000.0, p);
+      const auto below = eq.solve_ph(p, lo.h - 1e5);
+      const auto above = eq.solve_ph(p, hi.h + 1e7);
+      EXPECT_EQ(below.t, 150.0) << where;
+      EXPECT_EQ(above.t, 40000.0) << where;
+      expect_same_state(below, lo, 1e-10, where + " below");
+      expect_same_state(above, hi, 1e-10, where + " above");
+      // solve_rho_e clamps hot, and reports energies below e(50 K).
+      const auto hot = eq.solve_rho_e(hi.rho, hi.e + 1e7);
+      EXPECT_EQ(hot.t, 40000.0) << where;
+      EXPECT_TRUE(near_rel(hot.rho, hi.rho, 1e-12)) << where;
+      EXPECT_THROW((void)eq.solve_rho_e(lo.rho, lo.e - 1e7), cat::SolverError)
+          << where;
+    }
+}
+
+TEST(EquilibriumInversion, AnalyticCpMatchesCentredDifference) {
+  // The Newton slope: frozen cp plus the reaction term from the
+  // element-potential sensitivities, checked against a centred difference
+  // of h(T) at fixed p (the check_partials idiom).
+  for (const auto& [name, eq] : inversion_gases())
+    for (double p : kSweepP)
+      for (double t : kSweepT) {
+        const double dt = 1e-4 * t;
+        const double fd =
+            (eq.solve_tp(t + dt, p).h - eq.solve_tp(t - dt, p).h) / (2.0 * dt);
+        const double cp = eq.cp_equilibrium(eq.solve_tp(t, p));
+        EXPECT_TRUE(near_rel(cp, fd, 1e-6))
+            << name << " " << p << " " << t << " cp " << cp << " fd " << fd;
+      }
+}
 
 }  // namespace

@@ -312,7 +312,12 @@ TEST(Serve, TimedOutRequestReportsAndTheJobStillLands) {
   opt.threads = 2;
   opt.request_timeout_s = 1e-4;  // far below a smoke solve
   scenario::Server server(opt);
-  scenario::Case c = anchor_case();
+  // A compute that outlasts the timeout by far more than a waiter's
+  // wake-up latency: a smoke VSL march takes tens of ms (the anchor's
+  // smoke stagnation solve is now under a millisecond, too close to it).
+  const scenario::Case* march = scenario::find_scenario("sphere_cone_vsl");
+  ASSERT_NE(march, nullptr);
+  scenario::Case c = *march;
   c.fidelity = scenario::Fidelity::kSmoke;  // tens of ms: must time out
   const auto r = server.serve(c);
   EXPECT_FALSE(r.ok);

@@ -14,6 +14,7 @@
 #include "chemistry/batch.hpp"
 #include "chemistry/reaction.hpp"
 #include "chemistry/source.hpp"
+#include "gas/equilibrium.hpp"
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
@@ -313,6 +314,46 @@ TEST(WorkspaceAlloc, TwoTemperatureAdvanceAllocsIndependentOfStepCount) {
   EXPECT_EQ(allocs_long, allocs_short)
       << "stiff inner loop allocated (short=" << allocs_short
       << ", long=" << allocs_long << ")";
+}
+
+
+// ---- equilibrium inversion: one call-local stack workspace ----
+
+TEST(WorkspaceAlloc, HintedEnthalpyInversionAllocatesOnlyItsResult) {
+  // The Newton-on-T probes reuse one stack workspace, so a hinted solve_ph
+  // allocates what its returned EquilibriumResult holds, however many
+  // probes it takes: a target one Newton step from the hint (two probes)
+  // and one at the cold end of the bracket (seven probes) cost the same.
+  const gas::EquilibriumSolver eq(gas::make_air5(),
+                                  {{"N2", 0.79}, {"O2", 0.21}});
+  const double p = 1.0e4;
+  const auto near = eq.solve_tp(5000.0, p);
+  const double h_one_step = near.h + 1e-3 * eq.cp_equilibrium(near);
+  const double h_far = eq.solve_tp(300.0, p).h;
+
+  std::size_t result_allocs, one_step_allocs, far_allocs;
+  double sink = 0.0;
+  {
+    AllocCounterScope scope;
+    const gas::EquilibriumResult copy = near;
+    result_allocs = scope.count();
+    sink += copy.t;
+  }
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h_one_step, &near);
+    one_step_allocs = scope.count();
+    sink += r.t;
+  }
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h_far, &near);
+    far_allocs = scope.count();
+    EXPECT_NEAR(r.t, 300.0, 1e-6);
+  }
+  EXPECT_EQ(one_step_allocs, far_allocs);
+  EXPECT_LE(one_step_allocs, result_allocs);
+  EXPECT_GT(sink, 0.0);
 }
 
 }  // namespace
