@@ -154,27 +154,14 @@ double gibbs_mole_fast(const Species& s, const GibbsConstants& gc, double t) {
 }
 
 ThermalEnergyCv thermal_energy_cv(const Species& s, double t) {
-  CAT_REQUIRE(t > 0.0, "temperature must be positive");
-  double e = 1.5 * kRu * t, cv = 1.5 * kRu;
+  double c_tr = 1.5 * kRu;
   if (s.rotor == RotorType::kLinear) {
-    e += kRu * t;
-    cv += kRu;
+    c_tr += kRu;
   } else if (s.rotor == RotorType::kNonlinear) {
-    e += 1.5 * kRu * t;
-    cv += 1.5 * kRu;
+    c_tr += 1.5 * kRu;
   }
-  for (const auto& mode : s.vib) {
-    const double x = mode.theta / t;
-    if (x > 500.0) continue;
-    const double em = std::exp(-x);
-    const double r = em / (1.0 - em);
-    e += mode.degeneracy * kRu * mode.theta * r;
-    cv += mode.degeneracy * kRu * x * x * r / (1.0 - em);
-  }
-  const ElectronicState el = electronic_state(s, t);
-  e += el.e;
-  cv += el.cv;
-  return {e, cv};
+  const ThermalEnergyCv v = vibronic_energy_cv_mole(s, t);
+  return {c_tr * t + v.e, c_tr + v.cv};
 }
 
 double reference_thermal_enthalpy(const Species& s) {
@@ -191,13 +178,19 @@ double vibronic_energy_mole(const Species& s, double tv) {
   return e;
 }
 
-double vibronic_cv_mole(const Species& s, double tv) {
+ThermalEnergyCv vibronic_energy_cv_mole(const Species& s, double tv) {
   CAT_REQUIRE(tv > 0.0, "temperature must be positive");
-  double cv = 0.0;
-  for (const auto& mode : s.vib)
-    cv += mode.degeneracy * vib_cv_mode(mode.theta, tv);
-  cv += electronic_state(s, tv).cv;
-  return cv;
+  double e = 0.0, cv = 0.0;
+  for (const auto& mode : s.vib) {
+    const double x = mode.theta / tv;
+    if (x > 500.0) continue;
+    const double em = std::exp(-x);
+    const double r = em / (1.0 - em);
+    e += mode.degeneracy * kRu * mode.theta * r;
+    cv += mode.degeneracy * kRu * x * x * r / (1.0 - em);
+  }
+  const ElectronicState el = electronic_state(s, tv);
+  return {e + el.e, cv + el.cv};
 }
 
 double enthalpy_mass(const Species& s, double t) {

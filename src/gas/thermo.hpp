@@ -81,8 +81,8 @@ double gibbs_mole_fast(const Species& s, const GibbsConstants& gc, double t);
 /// the vibrational modes and electronic levels, sharing the exponentials
 /// (reactor RHS hot path; separate calls cost two passes).
 struct ThermalEnergyCv {
-  double e;   ///< internal_energy_thermal(s, t) [J/mol]
-  double cv;  ///< cv_mole(s, t) [J/(mol K)]
+  double e;   ///< energy, e.g. internal_energy_thermal(s, t) [J/mol]
+  double cv;  ///< its temperature derivative, e.g. cv_mole(s, t) [J/(mol K)]
 };
 ThermalEnergyCv thermal_energy_cv(const Species& s, double t);
 
@@ -96,8 +96,10 @@ double reference_thermal_enthalpy(const Species& s);
 /// temperature tv — the energy pool of the Park two-temperature model.
 double vibronic_energy_mole(const Species& s, double tv);
 
-/// d(vibronic energy)/dT [J/(mol K)] — vibronic heat capacity.
-double vibronic_cv_mole(const Species& s, double tv);
+/// Vibronic energy [J/mol] and its heat capacity d/dTv [J/(mol K)] at one
+/// temperature, fused: one exp per vibrational mode and one electronic-state
+/// pass for both (the Tv-inversion Newton needs the pair at every iterate).
+ThermalEnergyCv vibronic_energy_cv_mole(const Species& s, double tv);
 
 /// --- per-mass helpers ---------------------------------------------------
 double enthalpy_mass(const Species& s, double t);        ///< [J/kg]

@@ -14,18 +14,14 @@ using constants::kRu;
 namespace {
 /// Park's limiting collision cross section for vibrational relaxation [m^2].
 constexpr double kParkSigmaV = 3.0e-21;
+/// Representable vibronic-temperature bracket of tv_from_vibronic_energy.
+constexpr double kTvMin = 20.0, kTvMax = 80000.0;
 }  // namespace
 
-// cat-lint: allow-alloc (one-time construction: Millikan-White tables)
+// cat-lint: allow-alloc (one-time construction: per-species tables)
 TwoTemperatureGas::TwoTemperatureGas(SpeciesSet set)
-    : mix_(std::move(set)), electron_index_(-1) {
+    : mix_(std::move(set)) {
   const std::size_t ns = mix_.n_species();
-  is_molecule_.resize(ns);
-  for (std::size_t s = 0; s < ns; ++s) {
-    const Species& sp = mix_.set().species(s);
-    is_molecule_[s] = sp.is_molecule();
-    if (sp.is_electron()) electron_index_ = static_cast<std::ptrdiff_t>(s);
-  }
   // Millikan-White pair exponents: constant per (molecule, partner) pair,
   // hoisted out of the relaxation-time hot loop.
   mw_a_.assign(ns * ns, 0.0);
@@ -45,131 +41,156 @@ TwoTemperatureGas::TwoTemperatureGas(SpeciesSet set)
       mw_b_[s * ns + m] = 0.015 * std::pow(mu_red, 0.25);
     }
   }
+  // Per-species energy constants (electron translation rides the vibronic
+  // pool, so the electron has no trans-rot heat capacity).
+  is_molecule_.resize(ns);
+  e_ref_.resize(ns);
+  cv_tr_.resize(ns);
+  ev_nodes_.resize(kTvNodes * ns);
+  for (std::size_t s = 0; s < ns; ++s) {
+    const Species& sp = mix_.set().species(s);
+    is_molecule_[s] = sp.is_molecule();
+    e_ref_[s] = (sp.h_formation_298 - reference_thermal_enthalpy(sp)) /
+                sp.molar_mass;
+    double c = sp.is_electron() ? 0.0 : 1.5 * kRu;
+    if (sp.rotor == RotorType::kLinear) c += kRu;
+    if (sp.rotor == RotorType::kNonlinear) c += 1.5 * kRu;
+    cv_tr_[s] = c / sp.molar_mass;
+  }
+  // Vibronic energies on log-spaced Tv nodes spanning the bracket.
+  tv_nodes_.resize(kTvNodes);
+  for (std::size_t i = 0; i < kTvNodes; ++i) {
+    const double frac = static_cast<double>(i) / (kTvNodes - 1);
+    tv_nodes_[i] = i + 1 == kTvNodes ? kTvMax
+                                     : kTvMin * std::pow(kTvMax / kTvMin, frac);
+    for (std::size_t s = 0; s < ns; ++s)
+      ev_nodes_[i * ns + s] = species_vibronic(s, tv_nodes_[i]).e;
+  }
 }
 
-double TwoTemperatureGas::species_e_tr_rot(std::size_t s, double t) const {
+ThermalEnergyCv TwoTemperatureGas::species_vibronic(std::size_t s,
+                                                    double tv) const {
   const Species& sp = mix_.set().species(s);
-  double e = 1.5 * kRu * t;
-  if (sp.rotor == RotorType::kLinear) e += kRu * t;
-  if (sp.rotor == RotorType::kNonlinear) e += 1.5 * kRu * t;
-  return e;
+  // Electron translation rides the vibronic pool.
+  const ThermalEnergyCv m = sp.is_electron()
+                                ? ThermalEnergyCv{1.5 * kRu * tv, 1.5 * kRu}
+                                : vibronic_energy_cv_mole(sp, tv);
+  return {m.e / sp.molar_mass, m.cv / sp.molar_mass};
 }
 
 double TwoTemperatureGas::energy(std::span<const double> y, double t,
                                  double tv) const {
   CAT_REQUIRE(y.size() == n_species(), "composition size mismatch");
   double e = 0.0;
-  for (std::size_t s = 0; s < y.size(); ++s) {
-    if (y[s] == 0.0) continue;
-    const Species& sp = mix_.set().species(s);
-    const double t_ref = constants::kTemperatureRef;
-    const double h_th_ref =
-        internal_energy_thermal(sp, t_ref) + kRu * t_ref;
-    double e_mole;
-    if (sp.is_electron()) {
-      // Electron translation rides the vibronic pool.
-      e_mole = sp.h_formation_298 - h_th_ref + 1.5 * kRu * tv;
-    } else {
-      e_mole = sp.h_formation_298 - h_th_ref + species_e_tr_rot(s, t) +
-               vibronic_energy_mole(sp, tv);
-    }
-    e += y[s] * e_mole / sp.molar_mass;
-  }
+  for (std::size_t s = 0; s < y.size(); ++s)
+    if (y[s] != 0.0)
+      e += y[s] * (e_ref_[s] + cv_tr_[s] * t + species_vibronic(s, tv).e);
   return e;
+}
+
+double TwoTemperatureGas::reference_energy(std::span<const double> y) const {
+  double e0 = 0.0;
+  for (std::size_t s = 0; s < y.size(); ++s) e0 += y[s] * e_ref_[s];
+  return e0;
 }
 
 double TwoTemperatureGas::vibronic_energy(std::span<const double> y,
                                           double tv) const {
   CAT_REQUIRE(y.size() == n_species(), "composition size mismatch");
   double ev = 0.0;
-  for (std::size_t s = 0; s < y.size(); ++s) {
-    if (y[s] == 0.0) continue;
-    const Species& sp = mix_.set().species(s);
-    if (sp.is_electron()) {
-      ev += y[s] * 1.5 * kRu * tv / sp.molar_mass;
-    } else {
-      ev += y[s] * vibronic_energy_mole(sp, tv) / sp.molar_mass;
-    }
-  }
+  for (std::size_t s = 0; s < y.size(); ++s)
+    if (y[s] != 0.0) ev += y[s] * species_vibronic(s, tv).e;
   return ev;
 }
 
 double TwoTemperatureGas::vibronic_cv(std::span<const double> y,
                                       double tv) const {
   double cv = 0.0;
-  for (std::size_t s = 0; s < y.size(); ++s) {
-    if (y[s] == 0.0) continue;
-    const Species& sp = mix_.set().species(s);
-    if (sp.is_electron()) {
-      cv += y[s] * 1.5 * kRu / sp.molar_mass;
-    } else {
-      cv += y[s] * vibronic_cv_mole(sp, tv) / sp.molar_mass;
-    }
-  }
+  for (std::size_t s = 0; s < y.size(); ++s)
+    if (y[s] != 0.0) cv += y[s] * species_vibronic(s, tv).cv;
   return cv;
 }
 
 double TwoTemperatureGas::trans_rot_cv(std::span<const double> y) const {
   double cv = 0.0;
-  for (std::size_t s = 0; s < y.size(); ++s) {
-    if (y[s] == 0.0) continue;
-    const Species& sp = mix_.set().species(s);
-    if (sp.is_electron()) continue;
-    double c = 1.5 * kRu;
-    if (sp.rotor == RotorType::kLinear) c += kRu;
-    if (sp.rotor == RotorType::kNonlinear) c += 1.5 * kRu;
-    cv += y[s] * c / sp.molar_mass;
-  }
+  for (std::size_t s = 0; s < y.size(); ++s) cv += y[s] * cv_tr_[s];
   return cv;
 }
 
 double TwoTemperatureGas::tv_from_vibronic_energy(std::span<const double> y,
                                                   double ev,
                                                   double tv_guess) const {
-  constexpr double kTvMin = 20.0, kTvMax = 80000.0;
+  const std::size_t ns = n_species();
+  CAT_REQUIRE(y.size() == ns, "composition size mismatch");
+  auto node_energy = [&](std::size_t i) {
+    double e = 0.0;
+    for (std::size_t s = 0; s < ns; ++s) e += y[s] * ev_nodes_[i * ns + s];
+    return e;
+  };
   // Energies beyond the bracket saturate at the bracket ends: stiff-solver
   // trial states legitimately overshoot the representable vibronic-energy
   // range and expect the documented clamp, not a throw.
-  if (ev <= vibronic_energy(y, kTvMin)) return kTvMin;
-  if (ev >= vibronic_energy(y, kTvMax)) return kTvMax;
-  double tv = std::clamp(tv_guess, kTvMin, kTvMax);
+  std::size_t lo = 0, hi = kTvNodes - 1;
+  double e_lo = node_energy(lo), e_hi = node_energy(hi);
+  if (ev <= e_lo) return kTvMin;
+  if (ev >= e_hi) return kTvMax;
+  // Locate the node cell with e(T_lo) <= ev < e(T_hi) (e is monotone).
+  while (hi - lo > 1) {
+    const std::size_t mid = (lo + hi) / 2;
+    const double e_mid = node_energy(mid);
+    if (e_mid <= ev) {
+      lo = mid;
+      e_lo = e_mid;
+    } else {
+      hi = mid;
+      e_hi = e_mid;
+    }
+  }
+  const double t_lo = tv_nodes_[lo], t_hi = tv_nodes_[hi];
+  // Newton confined to the cell, from the guess when it lies inside and
+  // from the linear interpolant otherwise.
+  double tv = tv_guess > t_lo && tv_guess < t_hi
+                  ? tv_guess
+                  : t_lo + (t_hi - t_lo) * (ev - e_lo) / (e_hi - e_lo);
   // Exhaustion is benign: the bisection fallback below always answers.
   for (int it = 0; it < 120; ++it) {  // cat-lint: converges-by-construction
-    const double f = vibronic_energy(y, tv) - ev;
-    const double cv = std::max(vibronic_cv(y, tv), 1e-8);
-    double tn = std::clamp(tv - f / cv, kTvMin, kTvMax);
+    double e = 0.0, cv = 0.0;
+    for (std::size_t s = 0; s < ns; ++s) {
+      if (y[s] == 0.0) continue;
+      const ThermalEnergyCv v = species_vibronic(s, tv);
+      e += y[s] * v.e;
+      cv += y[s] * v.cv;
+    }
+    const double tn =
+        std::clamp(tv - (e - ev) / std::max(cv, 1e-8), t_lo, t_hi);
     if (std::fabs(tn - tv) < 1e-9 * std::max(1.0, tv)) return tn;
     tv = tn;
   }
   // Newton cycling (possible near electronic turn-on where cv_vib is
-  // nearly flat): bisect the validated bracket — e(Tv) is monotone and
-  // 200 halvings overshoot the width target by construction. The pre-lint
-  // code returned the last Newton iterate here without any notice.
-  double lo = kTvMin, hi = kTvMax;
+  // nearly flat): bisect the cell — e(Tv) is monotone and 200 halvings
+  // overshoot the width target by construction. The pre-lint code returned
+  // the last Newton iterate here without any notice.
+  double a = t_lo, b = t_hi;
   for (int it = 0; it < 200; ++it) {  // cat-lint: converges-by-construction
-    const double mid = 0.5 * (lo + hi);
+    const double mid = 0.5 * (a + b);
     if (vibronic_energy(y, mid) > ev) {
-      hi = mid;
+      b = mid;
     } else {
-      lo = mid;
+      a = mid;
     }
-    if (hi - lo < 1e-9 * hi) break;
+    if (b - a < 1e-9 * b) break;
   }
-  return 0.5 * (lo + hi);
+  return 0.5 * (a + b);
 }
 
 double TwoTemperatureGas::t_from_energy(std::span<const double> y,
                                         double e_total, double ev,
                                         double t_guess) const {
-  // e_total - ev = chemical reference constants + cv_tr * T with constant
-  // cv_tr (translation and rotation are classical), so the inversion is
-  // algebraic: evaluate the reference part at a probe temperature and solve.
+  // e_total - ev = E0(y) + cv_tr * T with constant cv_tr (translation and
+  // rotation are classical), so the inversion is algebraic.
   (void)t_guess;
   const double cv_tr = std::max(trans_rot_cv(y), 1e-8);
-  const double t_probe = 1000.0;
-  const double e_ref = energy(y, t_probe, t_probe) -
-                       vibronic_energy(y, t_probe) - cv_tr * t_probe;
-  const double t = (e_total - ev - e_ref) / cv_tr;
+  const double t = (e_total - ev - reference_energy(y)) / cv_tr;
   return std::clamp(t, 20.0, 100000.0);
 }
 

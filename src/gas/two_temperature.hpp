@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gas/mixture.hpp"
+#include "gas/thermo.hpp"
 
 namespace cat::gas {
 
@@ -25,8 +26,13 @@ class TwoTemperatureGas {
   const Mixture& mixture() const { return mix_; }
   std::size_t n_species() const { return mix_.n_species(); }
 
-  /// Mixture specific internal energy [J/kg] at (T, Tv).
+  /// Mixture specific internal energy [J/kg] at (T, Tv):
+  ///   e = reference_energy(y) + trans_rot_cv(y) T + vibronic_energy(y, Tv).
   double energy(std::span<const double> y, double t, double tv) const;
+
+  /// Chemical reference part E0(y) = sum_s y_s (h_f,s - h_th,s(298.15 K)) /
+  /// M_s of the energy [J/kg].
+  double reference_energy(std::span<const double> y) const;
 
   /// Energy in the vibronic pool [J/kg]: molecular vibration + electronic
   /// excitation at Tv + free-electron translation at Tv.
@@ -38,10 +44,13 @@ class TwoTemperatureGas {
   /// Translational-rotational heat capacity d(e - ev)/dT [J/(kg K)].
   double trans_rot_cv(std::span<const double> y) const;
 
-  /// Invert vibronic_energy for Tv (safeguarded Newton with a bisection
-  /// fallback on the monotone curve). Energies outside the representable
-  /// [20 K, 80000 K] bracket saturate at the bracket ends — stiff-solver
-  /// trial states overshoot transiently and rely on that clamp.
+  /// Invert vibronic_energy for Tv. A search over tabulated node energies
+  /// finds the cell holding the answer; Newton on a fused energy/cv pass,
+  /// confined to the cell, starts from \p tv_guess when it lies inside and
+  /// from the interpolant otherwise, with a bisection fallback on the
+  /// monotone curve. Energies outside the representable [20 K, 80000 K]
+  /// bracket saturate at the bracket ends — stiff-solver trial states
+  /// overshoot transiently and rely on that clamp.
   double tv_from_vibronic_energy(std::span<const double> y, double ev,
                                  double tv_guess = 1000.0) const;
 
@@ -73,14 +82,23 @@ class TwoTemperatureGas {
  private:
   Mixture mix_;
   std::vector<bool> is_molecule_;
-  std::ptrdiff_t electron_index_;  // -1 when no electrons in the set
   /// Millikan-White exponents per (species, partner) pair, precomputed:
   /// a = 1.16e-3 sqrt(mu_red) theta_v^{4/3}, b = 0.015 mu_red^{1/4}
   /// (mu_red in g/mol). Zero rows for non-molecules; zero columns for
   /// electrons (excluded partners).
   std::vector<double> mw_a_, mw_b_;
+  /// Per-species constants: reference energy h_f - h_th(298.15 K) [J/kg]
+  /// and trans-rot heat capacity [J/(kg K)] (zero for the electron).
+  std::vector<double> e_ref_, cv_tr_;
+  /// kTvNodes log-spaced Tv nodes from 20 K to 80000 K and the per-species
+  /// vibronic energy [J/kg] at each (row i at [i * n_species()]): the
+  /// bracket test and the start of the Tv inversion are dot products.
+  static constexpr std::size_t kTvNodes = 64;
+  std::vector<double> tv_nodes_, ev_nodes_;
 
-  double species_e_tr_rot(std::size_t s, double t) const;  // [J/mol]
+  /// Vibronic energy [J/kg] and heat capacity [J/(kg K)] of species s at tv
+  /// (free-electron translation for the electron), one fused pass.
+  ThermalEnergyCv species_vibronic(std::size_t s, double tv) const;
 };
 
 }  // namespace cat::gas

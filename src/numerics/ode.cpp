@@ -171,16 +171,31 @@ std::size_t StiffIntegrator::integrate(double t0, double t1,
   bool have_prev = false;
   double h_prev = 0.0;
 
-  Matrix& jac = ws.jac;
-  Matrix& iter_matrix = ws.iter_matrix;
+  const std::span<double> lu(ws.iter_matrix.data(), n * n);
   std::span<double> fval(ws.fval), res(ws.res), ynew(ws.ynew);
   std::size_t accepted = 0;
+
+  // Jacobian policy: one Jacobian per call, reused across steps. It is
+  // stale once a step has been accepted with it; a Newton solve that fails
+  // or contracts slower than kSlowRate with a stale Jacobian refreshes it
+  // at the current state and retries the same h.
+  constexpr double kSlowRate = 0.5;
+  bool have_jac = false, jac_fresh = false;
+  auto refresh_jacobian = [&](double tj) {
+    if (jac_) {
+      jac_(tj, y, ws.jac);
+    } else {
+      numerical_jacobian(tj, y, ws);
+    }
+    have_jac = jac_fresh = true;
+  };
 
   for (std::size_t step = 0; step < opt_.max_steps; ++step) {
     if (t >= t0 + (t1 - t0) * (1.0 - 1e-12)) return accepted;
     if (fixed) h = opt_.fixed_step;
     h = std::min(h, t1 - t);
     h = std::min(h, h_max);
+    if (!have_jac) refresh_jacobian(t + h);
 
     const bool bdf2 = opt_.use_bdf2 && have_prev;
     // BDF2 with variable step ratio r = h/h_prev:
@@ -193,48 +208,45 @@ std::size_t StiffIntegrator::integrate(double t0, double t1,
       alpha2 = r * r / (1.0 + r);
     }
 
-    // Newton solve of  alpha0 y - h f(t+h, y) + alpha1 y_n + alpha2 y_{n-1} = 0
-    std::copy(y.begin(), y.end(), ynew.begin());
+    // Newton solve of  alpha0 y - h f(t+h, y) + alpha1 y_n + alpha2 y_{n-1}
+    // = 0 with the iteration matrix M = alpha0 I - h J factored once. An
+    // adaptive step starts from the history extrapolation that the error
+    // estimate below measures against.
+    const bool extrapolate = !fixed && have_prev && h_prev > 0.0;
+    const double r_ext = extrapolate ? h / h_prev : 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      ynew[i] = y[i] + r_ext * (y[i] - yprev[i]);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        lu[i * n + j] = (i == j ? alpha0 : 0.0) - h * ws.jac(i, j);
     bool converged = false;
-    if (jac_) {
-      jac_(t + h, ynew, jac);
-    } else {
-      numerical_jacobian(t + h, ynew, ws);
-    }
-    // cat-lint: converges-by-construction (a Newton stall leaves
-    // !converged set and the step controller below rejects the step and
-    // halves h — exhaustion is recorded, not swallowed)
-    for (std::size_t it = 0; it < opt_.max_newton; ++it) {
-      f_(t + h, ynew, fval);
-      double rnorm = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        res[i] = alpha0 * ynew[i] - h * fval[i] + alpha1 * y[i] +
-                 alpha2 * (bdf2 ? yprev[i] : 0.0);
-        const double scale =
-            opt_.abs_tol + opt_.rel_tol * std::fabs(ynew[i]);
-        rnorm = std::max(rnorm, std::fabs(res[i]) / scale);
-      }
-      if (rnorm < 1.0e-2) {  // residual small relative to tolerance scale
-        converged = true;
-        break;
-      }
-      // Iteration matrix M = alpha0 I - h J, factored in place (workspace
-      // LU: no per-iteration allocation).
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          iter_matrix(i, j) = (i == j ? alpha0 : 0.0) - h * jac(i, j);
-      try {
-        lu_factor_inplace(iter_matrix, ws.piv);
-        lu_solve_inplace(iter_matrix, ws.piv, res, ws.lu_scratch);
-      } catch (const SolverError&) {
-        converged = false;
-        break;
-      }
-      for (std::size_t i = 0; i < n; ++i) ynew[i] -= res[i];
-      if (!std::all_of(ynew.begin(), ynew.end(),
-                       [](double v) { return std::isfinite(v); })) {
-        converged = false;
-        break;
+    if (try_lu_factor_inplace(lu, n, ws.piv)) {
+      double rnorm_prev = 0.0;
+      // cat-lint: converges-by-construction (a Newton stall leaves
+      // !converged set: a stale Jacobian is refreshed and the step
+      // retried, a fresh one makes the step controller below shrink h —
+      // exhaustion is recorded, not swallowed)
+      for (std::size_t it = 0; it < opt_.max_newton; ++it) {
+        f_(t + h, ynew, fval);
+        double rnorm = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          res[i] = alpha0 * ynew[i] - h * fval[i] + alpha1 * y[i] +
+                   alpha2 * (bdf2 ? yprev[i] : 0.0);
+          const double scale =
+              opt_.abs_tol + opt_.rel_tol * std::fabs(ynew[i]);
+          rnorm = std::max(rnorm, std::fabs(res[i]) / scale);
+        }
+        if (rnorm < 1.0e-2) {  // residual small relative to tolerance scale
+          converged = true;
+          break;
+        }
+        if (!jac_fresh && it > 0 && rnorm > kSlowRate * rnorm_prev) break;
+        rnorm_prev = rnorm;
+        lu_solve_inplace(lu, n, ws.piv, res, ws.lu_scratch);
+        for (std::size_t i = 0; i < n; ++i) ynew[i] -= res[i];
+        if (!std::all_of(ynew.begin(), ynew.end(),
+                         [](double v) { return std::isfinite(v); }))
+          break;
       }
     }
 
@@ -264,6 +276,7 @@ std::size_t StiffIntegrator::integrate(double t0, double t1,
       std::copy(ynew.begin(), ynew.end(), y.begin());
       h_prev = h;
       have_prev = true;
+      jac_fresh = false;
       t += h;
       ++accepted;
       if (observer) observer(t, y);
@@ -272,6 +285,8 @@ std::size_t StiffIntegrator::integrate(double t0, double t1,
             err > 1e-8 ? std::clamp(0.9 / std::cbrt(err), 0.3, 2.2) : 2.2;
         h *= grow;
       }
+    } else if (!jac_fresh) {
+      refresh_jacobian(t + h);  // retry the same h with a current Jacobian
     } else {
       if (fixed)
         throw SolverError(

@@ -1,7 +1,7 @@
 #pragma once
 /// \file ode.hpp
 /// ODE integrators: explicit RK4, adaptive RKF45, and an implicit stiff
-/// integrator (backward Euler / BDF2 with damped Newton).
+/// integrator (backward Euler / BDF2 with modified Newton).
 ///
 /// CAT needs all three regimes (paper, "STATUS OF CAT"): trajectories and
 /// inviscid relaxation are non-stiff; finite-rate chemistry spans rate
@@ -92,9 +92,25 @@ struct StiffWorkspace {
   void resize(std::size_t n);
 };
 
-/// Implicit stiff integrator: variable-step backward Euler (order 1) with a
-/// BDF2 finisher, damped-Newton inner iterations, and step-size control on
-/// the Newton convergence rate. Designed for chemical-kinetics source terms.
+/// Implicit stiff integrator for chemical-kinetics source terms: backward
+/// Euler for the first step, then variable-step BDF2, each step solved by a
+/// modified Newton iteration on alpha0 I - h J (factored once per solve).
+///
+/// Step-size control: an adaptive step starts Newton from the history
+/// extrapolation y_n + r (y_n - y_{n-1}), r = h/h_prev, and the distance of
+/// the converged solution from that predictor is the truncation estimate.
+/// A step whose estimate err exceeds the tolerance scale is rejected and
+/// retried with h scaled by 0.9/cbrt(err) clamped to [0.1, 0.9]; after an
+/// accepted step the same factor, clamped to [0.3, 2.2], sets the next h.
+/// Newton converges when the scaled residual falls below 1e-2 of the
+/// tolerance scale.
+///
+/// Jacobian policy: one Jacobian (analytic when given, else forward
+/// differences) per integrate call, reused across steps. When Newton with
+/// a Jacobian from an earlier state fails to converge or contracts slower
+/// than 0.5 per iteration, the Jacobian is re-evaluated at the current
+/// state and the same h retried; only a failure with a current Jacobian
+/// shrinks h by 4 (or, on forced steps, throws).
 class StiffIntegrator {
  public:
   using Options = StiffOptions;

@@ -10,7 +10,13 @@
 /// satisfying the steady 1-D conservation laws:
 ///   rho u = m,   rho u^2 + p = P,   h + u^2/2 = H.
 /// Marching variables are the species mass fractions and the vibronic pool
-/// energy; (rho, u, T, Tv, p) are recovered algebraically at each station.
+/// energy ev. At each station Tv inverts ev, and with the vibronic pool
+/// frozen h(T) = E0(y) + (cv_tr + R_h) T + ev + R_e Tv is linear in T, so
+/// momentum, energy and the equation of state reduce to a quadratic in u;
+/// (rho, u, p, T) follow in closed form from its subsonic root. A
+/// composition/energy with no such root, or one giving T outside
+/// [50, 1e5] K, throws SolverError. The one-temperature ablation
+/// (Tv = T) has no closed form and finds rho by a bracketed Brent search.
 
 #include <functional>
 #include <span>
@@ -78,7 +84,9 @@ class PostShockRelaxation {
                                Options opt = {});
 
   /// Frozen Rankine-Hugoniot jump with temperature-dependent (but
-  /// composition- and vibration-frozen) thermodynamics.
+  /// composition- and vibration-frozen) thermodynamics: the closed-form
+  /// recovery below at the upstream composition and Tv = T1. Throws
+  /// SolverError when the upstream flow is subsonic.
   FrozenJump frozen_jump(const ShockTubeFreestream& fs,
                          std::span<const double> y_frozen) const;
 
@@ -92,13 +100,23 @@ class PostShockRelaxation {
   gas::TwoTemperatureGas ttg_;
   Options opt_;
 
-  /// Recover (rho, u, p, T) from invariants at given composition and Tv.
+  /// Upstream invariants of the march: rho u, p + rho u^2, h + u^2/2.
+  struct Invariants {
+    double m_flux, p_flux, h_total;
+  };
   struct FlowState {
     double rho, u, p, t;
   };
-  FlowState recover_state(double m_flux, double p_flux, double h_total,
-                          std::span<const double> y, double tv,
-                          double rho_guess) const;
+  Invariants upstream_invariants(const ShockTubeFreestream& fs,
+                                 std::span<const double> y) const;
+  /// Two-temperature recovery at composition y with the vibronic pool at
+  /// energy ev and temperature tv: the closed form above.
+  FlowState recover_state_2t(const Invariants& inv, std::span<const double> y,
+                             double ev, double tv) const;
+  /// One-temperature recovery (Tv = T): Brent on rho, bracketed around the
+  /// frozen-jump density rho_jump.
+  FlowState recover_state_1t(const Invariants& inv, std::span<const double> y,
+                             double rho_jump) const;
 };
 
 }  // namespace cat::solvers

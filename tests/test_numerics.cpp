@@ -331,6 +331,77 @@ TEST(Ode, StiffIntegratorHandlesRobertsonLikeProblem) {
   EXPECT_NEAR(y[1], std::exp(-2.0), 1e-4);
 }
 
+TEST(Ode, StiffIntegratorReusesJacobian) {
+  std::size_t jac_calls = 0;
+  auto counted = [&jac_calls](auto body) -> OdeJacobian {
+    return [&jac_calls, body](double t, std::span<const double> y,
+                              Matrix& jac) {
+      ++jac_calls;
+      body(t, y, jac);
+    };
+  };
+
+  {  // The Robertson-like pair above, with an analytic Jacobian.
+    OdeRhs f = [](double, std::span<const double> y, std::span<double> dy) {
+      dy[0] = -1e4 * y[0] + 1.0;
+      dy[1] = -y[1];
+    };
+    auto jac = counted([](double, std::span<const double>, Matrix& j) {
+      j(0, 0) = -1e4;
+      j(0, 1) = 0.0;
+      j(1, 0) = 0.0;
+      j(1, 1) = -1.0;
+    });
+    std::vector<double> y{1.0, 1.0};
+    const std::size_t steps = StiffIntegrator(f, jac).integrate(0.0, 2.0, y);
+    EXPECT_NEAR(y[0], 1e-4, 1e-6);
+    EXPECT_NEAR(y[1], std::exp(-2.0), 1e-4);
+    EXPECT_LT(10 * jac_calls, steps) << jac_calls << " of " << steps;
+  }
+
+  {  // Robertson's kinetics (nonlinear), against the reference at t = 40.
+    jac_calls = 0;
+    OdeRhs f = [](double, std::span<const double> y, std::span<double> dy) {
+      dy[0] = -0.04 * y[0] + 1e4 * y[1] * y[2];
+      dy[2] = 3e7 * y[1] * y[1];
+      dy[1] = -dy[0] - dy[2];
+    };
+    auto jac = counted([](double, std::span<const double> y, Matrix& j) {
+      j(0, 0) = -0.04;
+      j(0, 1) = 1e4 * y[2];
+      j(0, 2) = 1e4 * y[1];
+      j(2, 0) = 0.0;
+      j(2, 1) = 6e7 * y[1];
+      j(2, 2) = 0.0;
+      for (std::size_t c = 0; c < 3; ++c) j(1, c) = -j(0, c) - j(2, c);
+    });
+    std::vector<double> y{1.0, 0.0, 0.0};
+    const std::size_t steps = StiffIntegrator(f, jac).integrate(0.0, 40.0, y);
+    EXPECT_NEAR(y[0], 0.7158271, 1e-5);
+    EXPECT_NEAR(y[1], 9.185535e-6, 1e-9);
+    EXPECT_NEAR(y[2], 0.2841637, 1e-5);
+    EXPECT_LT(10 * jac_calls, steps) << jac_calls << " of " << steps;
+  }
+
+  {  // Stiffness jumps 1 -> 1e6 at t = 1 on the exact solution y = cos t:
+     // the Jacobian from t < 1 stalls Newton and must be refreshed.
+    jac_calls = 0;
+    auto k = [](double t) { return t < 1.0 ? 1.0 : 1e6; };
+    OdeRhs f = [k](double t, std::span<const double> y,
+                   std::span<double> dy) {
+      dy[0] = -k(t) * (y[0] - std::cos(t)) - std::sin(t);
+    };
+    auto jac = counted([k](double t, std::span<const double>, Matrix& j) {
+      j(0, 0) = -k(t);
+    });
+    std::vector<double> y{1.0};
+    const std::size_t steps = StiffIntegrator(f, jac).integrate(0.0, 2.0, y);
+    EXPECT_NEAR(y[0], std::cos(2.0), 1e-5);
+    EXPECT_GE(jac_calls, 2u);
+    EXPECT_LT(10 * jac_calls, steps) << jac_calls << " of " << steps;
+  }
+}
+
 TEST(Ode, StiffMatchesRk4OnNonstiff) {
   OdeRhs f = [](double, std::span<const double> y, std::span<double> dy) {
     dy[0] = -0.5 * y[0];

@@ -36,6 +36,52 @@ TEST(TwoTemperature, EnergyRoundTrip) {
   EXPECT_NEAR(ttg.t_from_energy(y, e, ev, 2000.0), t, 0.5);
 }
 
+TEST(TwoTemperature, TvInversionRoundTrips) {
+  const gas::TwoTemperatureGas air5(gas::make_air5());
+  const gas::TwoTemperatureGas air11(chemistry::park_air11().species_set());
+  auto partly_ionized = [&] {
+    const auto& set = air11.mixture().set();
+    std::vector<double> y(set.size(), 0.0);
+    y[set.local_index("N2")] = 0.55;
+    y[set.local_index("O2")] = 0.05;
+    y[set.local_index("NO")] = 0.04;
+    y[set.local_index("N")] = 0.18;
+    y[set.local_index("O")] = 0.17;
+    y[set.local_index("NO+")] = 0.006;
+    y[set.local_index("N+")] = 0.002;
+    y[set.local_index("O+")] = 0.002;
+    // Charge-neutral electron mass fraction for the three cations.
+    double ne = 0.0;
+    for (const char* ion : {"NO+", "N+", "O+"}) {
+      const auto s = set.local_index(ion);
+      ne += y[s] / set.species(s).molar_mass;
+    }
+    const auto e = set.local_index("e-");
+    y[e] = ne * set.species(e).molar_mass;
+    return y;
+  };
+  const std::vector<double> y5{0.6, 0.1, 0.05, 0.15, 0.1};
+  const std::vector<double> y11 = partly_ionized();
+  for (const auto& [gas, y] :
+       {std::pair{&air5, &y5}, std::pair{&air11, &y11}}) {
+    for (const double tv : {30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0,
+                            30000.0, 60000.0}) {
+      const double ev = gas->vibronic_energy(*y, tv);
+      for (const double guess : {1000.0, 5000.0})
+        EXPECT_NEAR(gas->tv_from_vibronic_energy(*y, ev, guess), tv,
+                    1e-9 * tv)
+            << "Tv " << tv << " guess " << guess;
+    }
+    const double e_lo = gas->vibronic_energy(*y, 20.0);
+    const double e_hi = gas->vibronic_energy(*y, 80000.0);
+    EXPECT_EQ(gas->tv_from_vibronic_energy(*y, e_lo), 20.0);
+    EXPECT_EQ(gas->tv_from_vibronic_energy(*y, 0.5 * e_lo), 20.0);
+    EXPECT_EQ(gas->tv_from_vibronic_energy(*y, -1.0), 20.0);
+    EXPECT_EQ(gas->tv_from_vibronic_energy(*y, e_hi), 80000.0);
+    EXPECT_EQ(gas->tv_from_vibronic_energy(*y, 2.0 * e_hi), 80000.0);
+  }
+}
+
 TEST(TwoTemperature, RelaxationTimeDecreasesWithTAndP) {
   gas::TwoTemperatureGas ttg(gas::make_air5());
   std::vector<double> y{0.767, 0.233, 0.0, 0.0, 0.0};
@@ -166,6 +212,45 @@ TEST(Relax1d, RelaxationConservesFluxes) {
     EXPECT_NEAR(prof.p[k] + prof.rho[k] * prof.u[k] * prof.u[k], pmom,
                 0.02 * pmom)
         << k;
+  }
+}
+
+TEST(Relax1d, StationsConserveFluxesToRoundoff) {
+  // The closed-form recovery must hit the flux invariants exactly: a wrong
+  // root or a clamped temperature would break them by far more than the
+  // roundoff bound, which a percent-level band cannot see.
+  for (const auto& mech : {chemistry::park_air5(), chemistry::park_air11()}) {
+    solvers::Relax1dOptions opt;
+    opt.x_max_m = 0.02;
+    opt.n_samples = 24;
+    const solvers::PostShockRelaxation solver(mech, opt);
+    const gas::TwoTemperatureGas ttg(mech.species_set());
+    const auto& set = mech.species_set();
+    std::vector<double> y1(mech.n_species(), 0.0);
+    y1[set.local_index("N2")] = 0.767;
+    y1[set.local_index("O2")] = 0.233;
+    const solvers::ShockTubeFreestream fs{13.0, 300.0, 9000.0};
+    const auto prof = solver.solve(fs, y1);
+
+    const double rho1 =
+        fs.pressure / (mech.mixture().gas_constant(y1) * fs.temperature);
+    const double m = rho1 * fs.velocity;
+    const double pmom = fs.pressure + m * fs.velocity;
+    const double h0 = ttg.energy(y1, fs.temperature, fs.temperature) +
+                      fs.pressure / rho1 + 0.5 * fs.velocity * fs.velocity;
+    std::vector<double> y(mech.n_species());
+    ASSERT_EQ(prof.size(), opt.n_samples + 1);
+    for (std::size_t k = 0; k < prof.size(); ++k) {
+      for (std::size_t s = 0; s < y.size(); ++s) y[s] = prof.y[s][k];
+      const double rho = prof.rho[k], u = prof.u[k], p = prof.p[k];
+      EXPECT_NEAR(rho * u, m, 1e-10 * m) << k;
+      EXPECT_NEAR(p + rho * u * u, pmom, 1e-10 * pmom) << k;
+      const double h =
+          ttg.energy(y, prof.t[k], prof.tv[k]) + p / rho + 0.5 * u * u;
+      EXPECT_NEAR(h, h0, 1e-10 * std::fabs(h0)) << k;
+      EXPECT_NEAR(ttg.pressure(rho, y, prof.t[k], prof.tv[k]), p, 1e-10 * p)
+          << k;
+    }
   }
 }
 

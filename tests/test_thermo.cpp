@@ -106,7 +106,9 @@ TEST(Thermo, VibronicCvMatchesDerivative) {
     const double fd = (vibronic_energy_mole(sp("O2"), tv + dt) -
                        vibronic_energy_mole(sp("O2"), tv - dt)) /
                       (2.0 * dt);
-    EXPECT_NEAR(vibronic_cv_mole(sp("O2"), tv), fd, 1e-5 * fd + 1e-10);
+    const ThermalEnergyCv v = vibronic_energy_cv_mole(sp("O2"), tv);
+    EXPECT_NEAR(v.cv, fd, 1e-5 * fd + 1e-10);
+    EXPECT_NEAR(v.e, vibronic_energy_mole(sp("O2"), tv), 1e-12 * v.e);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
+#include "solvers/relax1d/relax1d.hpp"
 
 namespace {
 std::atomic<bool> g_count{false};
@@ -316,6 +317,36 @@ TEST(WorkspaceAlloc, TwoTemperatureAdvanceAllocsIndependentOfStepCount) {
       << ", long=" << allocs_long << ")";
 }
 
+TEST(WorkspaceAlloc, Relax1dSolveAllocsIndependentOfStepCount) {
+  // The relaxation march allocates its scratch and profile once per solve:
+  // with the same number of stored stations, a ten times longer march
+  // (many more steps and RHS evaluations) allocates exactly as much.
+  const auto mech = chemistry::park_air5();
+  std::vector<double> y1(mech.n_species(), 0.0);
+  y1[mech.species_set().local_index("N2")] = 0.767;
+  y1[mech.species_set().local_index("O2")] = 0.233;
+  const solvers::ShockTubeFreestream fs{13.0, 300.0, 9000.0};
+  std::size_t rhs_evals = 0;
+  auto march = [&](double x_max_m) {
+    solvers::Relax1dOptions opt;
+    opt.x_max_m = x_max_m;
+    opt.n_samples = 16;
+    opt.source = [&rhs_evals](double, std::span<const double>,
+                              std::span<double>) { ++rhs_evals; };
+    const solvers::PostShockRelaxation solver(mech, opt);
+    rhs_evals = 0;
+    AllocCounterScope scope;
+    const auto prof = solver.solve(fs, y1);
+    return std::pair{scope.count(), rhs_evals};
+  };
+  march(0.002);  // warm-up
+  const auto [allocs_short, rhs_short] = march(0.002);
+  const auto [allocs_long, rhs_long] = march(0.02);
+  EXPECT_GT(rhs_long, rhs_short);
+  EXPECT_EQ(allocs_long, allocs_short)
+      << "relax1d march allocated per step (short=" << allocs_short
+      << ", long=" << allocs_long << ")";
+}
 
 // ---- equilibrium inversion: one call-local stack workspace ----
 
