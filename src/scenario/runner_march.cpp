@@ -146,7 +146,6 @@ class EulerBlRunner final : public Runner {
     const solvers::StagnationLineSolver stag(eq,
                                              detail::stagnation_options(c));
     const auto edge = stag.shock_layer_edge(sc);
-    const auto stag_state = eq.solve_ph(edge.p_stag, edge.h_stag);
     const double q_dyn = 0.5 * sc.rho_inf * sc.velocity * sc.velocity;
     const double cp_max = (edge.p_stag - sc.p_inf) / q_dyn;
 
@@ -187,7 +186,7 @@ class EulerBlRunner final : public Runner {
       bopt.n_table = 28;
     }
     const solvers::BoundaryLayerSolver bl(eq, bopt);
-    const auto blr = bl.solve(stations, stag_state, edge.h_stag);
+    const auto blr = bl.solve(stations, edge.stag_state, edge.h_stag);
 
     CaseResult r = make_result(c);
     r.table = io::Table(c.title.empty() ? c.name : c.title);

@@ -1,11 +1,10 @@
 #include "solvers/bl/boundary_layer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "core/error.hpp"
-#include "numerics/interp.hpp"
+#include "solvers/similarity/similarity.hpp"
 #include "solvers/vsl/vsl.hpp"
 #include "transport/transport.hpp"
 
@@ -24,8 +23,7 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
                                     double h_total) const {
   CAT_REQUIRE(stations.size() >= 2, "need at least two stations");
   CAT_REQUIRE(stations.front().s > 0.0, "first station must have s > 0");
-  const gas::Mixture& mix = eq_.mixture();
-  transport::MixtureTransport trans(mix);
+  transport::MixtureTransport trans(eq_.mixture());
 
   const std::size_t n = stations.size();
   BlResult out;
@@ -35,6 +33,7 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
   out.te.resize(n);
   out.rho_e.resize(n);
   out.theta.resize(n);
+  out.converged = true;
 
   // ---- edge states by isentropic expansion of the stagnation state ----
   std::vector<double> ue(n), he(n), rho_e(n), mu_e(n);
@@ -69,7 +68,7 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
   }
 
   // ---- march stations with local-similarity solves ---------------------
-  double fpp_seed = 0.7, bigG_seed = 0.5;
+  SimilarityResult seed{0.7, 0.5, false};
   for (std::size_t i = 0; i < n; ++i) {
     // Pressure-gradient parameter beta = (2 xi / ue) (due/dxi). The
     // backward difference for due/dxi is the solver's only streamwise
@@ -88,124 +87,28 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
       beta = std::clamp(2.0 * xi[i] / ue[i] * due_dxi, -0.15, 1.0);
     }
 
-    // Property tables vs static enthalpy at this station's pressure.
+    // Property table vs static enthalpy at this station's pressure.
     const double p_loc = stations[i].p_e;
     const auto wall = eq_.solve_tp(opt_.wall_temperature_K, p_loc);
-    const double h_w = wall.h;
-    const double g_w = (h_w + 0.0) / h_total;
-    const std::size_t nt = opt_.n_table;
-    std::vector<double> h_nodes(nt), c_tab(nt), cpr_tab(nt), rho_tab(nt);
-    const double h_lo = std::min(h_w, he[i]) - 0.02 * std::fabs(h_total);
-    const double h_hi = h_total * 1.02;
     const double reme = rho_e[i] * mu_e[i];
-    // The sweep climbs in enthalpy from the wall: each node seeds the next.
-    gas::EquilibriumResult st = wall;
-    for (std::size_t k = 0; k < nt; ++k) {
-      const double h = h_lo + (h_hi - h_lo) * static_cast<double>(k) /
-                                  static_cast<double>(nt - 1);
-      st = eq_.solve_ph(p_loc, h, &st);
-      const double mu = trans.viscosity(st.y, st.t);
-      const double pr = trans.prandtl(st.y, st.t);
-      h_nodes[k] = h;
-      rho_tab[k] = st.rho;
-      c_tab[k] = st.rho * mu / reme;
-      cpr_tab[k] = c_tab[k] / pr;
-    }
-    numerics::Pchip C_of_h(h_nodes, c_tab);
-    numerics::Pchip CPr_of_h(h_nodes, cpr_tab);
-    numerics::Pchip rho_of_h(h_nodes, rho_tab);
-
-    const double d_kin = 0.5 * ue[i] * ue[i] / h_total;  // u^2/2He
-    const double rho_edge = rho_of_h(he[i]);
-
-    // Local-similarity BVP in [f, f', f'', g, G], G = (C/Pr) g'.
-    const double d_eta =
-        opt_.eta_max / static_cast<double>(opt_.n_eta - 1);
-    auto h_static = [&](double g, double fp) {
-      return std::clamp(h_total * (g - d_kin * fp * fp), h_lo, h_hi);
-    };
-    auto rhs5 = [&](const std::array<double, 5>& u,
-                    std::array<double, 5>& du) {
-      const double h = h_static(u[3], u[1]);
-      const double C = std::max(C_of_h(h), 1e-4);
-      const double CPr = std::max(CPr_of_h(h), 1e-4);
-      const double rr = rho_edge / std::max(rho_of_h(h), 1e-12);
-      const double dh = 1e-4 * std::fabs(h_total);
-      const double dC_dh =
-          (C_of_h(std::min(h + dh, h_hi)) - C_of_h(std::max(h - dh, h_lo))) /
-          (2.0 * dh);
-      const double gp = u[4] / CPr;
-      // dC/deta = dC/dh * dh/deta, with h depending on g and f'.
-      const double dhdeta =
-          h_total * (gp - 2.0 * d_kin * u[1] * u[2]);
-      du[0] = u[1];
-      du[1] = u[2];
-      du[2] = -(u[0] * u[2] + beta * (rr - u[1] * u[1]) +
-                dC_dh * dhdeta * u[2]) /
-              C;
-      du[3] = gp;
-      // Energy with viscous-dissipation transport (Pr != 1 correction):
-      // (C/Pr g')' = -f g' - d/deta[ C (1-1/Pr) 2 d_kin f' f'' ].
-      // The bracket derivative is folded in by quasi-linearization using
-      // its local value (adequate at these Prandtl numbers ~ 0.7).
-      const double pr_loc = C / CPr;
-      const double diss =
-          C * (1.0 - 1.0 / pr_loc) * 2.0 * d_kin * u[1] * u[2];
-      du[4] = -u[0] * gp - diss * 0.5;  // smooth half-weight treatment
-    };
-    auto shoot = [&](double a, double b, double* g_prof,
-                     double* theta_like) {
-      std::array<double, 5> u{0.0, 0.0, a, g_w, b};
-      for (std::size_t k = 1; k < opt_.n_eta; ++k) {
-        std::array<double, 5> k1, k2, k3, k4, tmp;
-        rhs5(u, k1);
-        for (int q = 0; q < 5; ++q) tmp[q] = u[q] + 0.5 * d_eta * k1[q];
-        rhs5(tmp, k2);
-        for (int q = 0; q < 5; ++q) tmp[q] = u[q] + 0.5 * d_eta * k2[q];
-        rhs5(tmp, k3);
-        for (int q = 0; q < 5; ++q) tmp[q] = u[q] + d_eta * k3[q];
-        rhs5(tmp, k4);
-        for (int q = 0; q < 5; ++q)
-          u[q] += d_eta / 6.0 * (k1[q] + 2 * k2[q] + 2 * k3[q] + k4[q]);
-        u[1] = std::clamp(u[1], -5.0, 5.0);
-        u[3] = std::clamp(u[3], -1.0, 3.0);
-      }
-      if (g_prof) *g_prof = u[3];
-      if (theta_like) *theta_like = u[0];
-      return std::array<double, 2>{u[1] - 1.0, u[3] - 1.0};
-    };
-
-    double a = fpp_seed, b = bigG_seed;
-    // cat-lint: converges-by-construction (damped, warm-started Newton
-    // shoot per station; the verification ladder pins the wall-flux
-    // distribution, so a stalled station cannot pass the order tests)
-    for (int it = 0; it < 50; ++it) {
-      const auto r0 = shoot(a, b, nullptr, nullptr);
-      if (std::fabs(r0[0]) < 1e-8 && std::fabs(r0[1]) < 1e-8) break;
-      const double da = 1e-6, db = 1e-6;
-      const auto ra = shoot(a + da, b, nullptr, nullptr);
-      const auto rb = shoot(a, b + db, nullptr, nullptr);
-      const double j11 = (ra[0] - r0[0]) / da, j12 = (rb[0] - r0[0]) / db;
-      const double j21 = (ra[1] - r0[1]) / da, j22 = (rb[1] - r0[1]) / db;
-      const double det = j11 * j22 - j12 * j21;
-      if (std::fabs(det) < 1e-16) break;
-      double step_a = (j22 * r0[0] - j12 * r0[1]) / det;
-      double step_b = (-j21 * r0[0] + j11 * r0[1]) / det;
-      step_a = std::clamp(step_a, -0.4, 0.4);
-      step_b = std::clamp(step_b, -0.4, 0.4);
-      a -= step_a;
-      b -= step_b;
-      a = std::clamp(a, 0.01, 4.0);
-    }
-    fpp_seed = a;  // warm-start the next station
-    bigG_seed = b;
+    const LayerTable tab = tabulate_layer(
+        eq_, trans, wall, p_loc,
+        std::min(wall.h, he[i]) - 0.02 * std::fabs(h_total), h_total * 1.02,
+        opt_.n_table, reme);
+    // Warm-started from the previous station.
+    seed = solve_similarity(tab,
+                            {beta, h_total, 0.5 * ue[i] * ue[i] / h_total,
+                             wall.h / h_total, tab.rho(he[i]), opt_.eta_max,
+                             opt_.n_eta},
+                            seed.fpp0, seed.bigG0);
+    out.converged = out.converged && seed.converged;
 
     // Wall flux: q = G(0) * He * (ue r / sqrt(2 xi)) * (rho_e mu_e)
     // — from q = (rho mu)_w/Pr_w He g'(0) (ue r/sqrt(2 xi)) with
     // G = C/Pr g' and C normalized by rho_e mu_e.
     const double metric =
         ue[i] * stations[i].r / std::sqrt(2.0 * std::max(xi[i], 1e-30));
-    out.q_w[i] = b * h_total * metric * reme;
+    out.q_w[i] = seed.bigG0 * h_total * metric * reme;
     out.theta[i] =
         std::sqrt(2.0 * xi[i]) / (rho_e[i] * ue[i] * stations[i].r);
   }

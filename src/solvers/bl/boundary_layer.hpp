@@ -9,8 +9,10 @@
 /// the local pressure (normal-shock entropy — the classical blunt-body
 /// edge closure; entropy-layer swallowing is neglected and noted in
 /// DESIGN.md). Heating comes from the Lees-Dorodnitsyn local-similarity
-/// solution at each station, with the pressure-gradient parameter and
-/// variable rho-mu handled exactly as in the stagnation solver.
+/// solution at each station: the shared station kernel (solvers/similarity)
+/// that the stagnation solver also calls, warm-started station to station.
+/// Known-unconverged: some stations' shoots stop on the iterate they hold
+/// (e.g. the seed); BlResult reports that as `converged == false`.
 
 #include <vector>
 
@@ -33,6 +35,7 @@ struct BlResult {
   std::vector<double> te;      ///< edge temperature [K]
   std::vector<double> rho_e;   ///< edge density [kg/m^3]
   std::vector<double> theta;   ///< momentum-thickness-like scale sqrt(2xi)/(rho_e ue r) [m]
+  bool converged = false;      ///< every station's shoot met its tolerance
 };
 
 /// Options for the boundary-layer solver.

@@ -8,15 +8,14 @@
 /// Structure of the solve, mirroring the RASLE/HYVIS class of codes:
 ///  1. Equilibrium normal-shock jump -> shock-layer edge state and
 ///     shock standoff (0.78 eps R correlation, eps = density ratio).
-///  2. Lees-Dorodnitsyn similarity BVP for the stagnation boundary layer
-///     with equilibrium thermodynamics (rho mu varying across the layer),
-///     solved by two-parameter shooting; yields the convective flux and
-///     the temperature/species profiles between wall and boundary-layer
-///     edge.
+///  2. Lees-Dorodnitsyn similarity BVP with equilibrium properties, by the
+///     shared station kernel (solvers/similarity) at beta = 0.5; yields the
+///     convective flux and the wall-to-edge temperature/species profiles.
+///     Known-unconverged: at most conditions (e.g. the smoke
+///     shuttle_stag_point) the shoot stops on its seed; `converged` says so.
 ///  3. Tangent-slab radiative transport across the full shock layer
 ///     (boundary-layer profile + inviscid equilibrium slab).
 
-#include <utility>
 #include <vector>
 
 #include "gas/equilibrium.hpp"
@@ -40,6 +39,7 @@ struct ShockLayerEdge {
   double density_ratio;         ///< eps = rho1/rho2
   double p_stag, t_stag, rho_stag, h_stag;  ///< boundary-layer edge
   double standoff;              ///< shock standoff distance [m]
+  gas::EquilibriumResult stag_state;  ///< equilibrium state at the BL edge
 };
 
 /// Full stagnation-line solution.
@@ -48,6 +48,7 @@ struct StagnationSolution {
   double q_conv;                ///< convective wall flux [W/m^2]
   double q_rad;                 ///< radiative wall flux [W/m^2]
   double du_dx;                 ///< edge velocity gradient [1/s]
+  bool converged = false;       ///< the similarity shoot met its tolerance
   // Profiles from wall (index 0) to shock:
   std::vector<double> y_phys;   ///< distance from wall [m]
   std::vector<double> temperature;
@@ -81,10 +82,6 @@ class StagnationLineSolver {
   StagnationSolution solve(const StagnationConditions& c) const;
 
  private:
-  /// Step 1 with the equilibrium state at the stagnation edge.
-  std::pair<ShockLayerEdge, gas::EquilibriumResult> edge_state(
-      const StagnationConditions& c) const;
-
   const gas::EquilibriumSolver& eq_;
   StagnationOptions opt_;
   radiation::RadiationModel rad_;

@@ -16,7 +16,10 @@
 #include "solvers/bl/boundary_layer.hpp"
 #include "solvers/euler/euler.hpp"
 #include "solvers/pns/pns.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner_detail.hpp"
 #include "solvers/relax1d/relax1d.hpp"
+#include "solvers/similarity/similarity.hpp"
 #include "solvers/stagnation/stagnation.hpp"
 #include "solvers/vsl/vsl.hpp"
 
@@ -294,6 +297,56 @@ TEST(Relax1d, ParkSqrtControlSlowsOnset) {
   EXPECT_LT(run(true), 0.6 * run(false));
 }
 
+// ---------- Lees-Dorodnitsyn similarity kernel ----------
+
+// Constant properties (C = rho = 1, Pr = 0.7) reduce the momentum equation
+// to Falkner-Skan: f''' + f f'' + beta (1 - f'^2) = 0.
+solvers::LayerTable constant_property_table() {
+  const std::vector<double> h{0.0, 1.0, 2.0}, one(3, 1.0);
+  solvers::LayerTable tab;
+  tab.h_lo = 0.0;
+  tab.h_hi = 2.0;
+  tab.c = numerics::Pchip(h, one);
+  tab.c_over_pr = numerics::Pchip(h, {1.0 / 0.7, 1.0 / 0.7, 1.0 / 0.7});
+  tab.rho = numerics::Pchip(h, one);
+  tab.t = numerics::Pchip(h, one);
+  return tab;
+}
+
+// Station on H = 1, g_w = 0.5, rho_edge = 1, eta in [0, 8] on 200 points.
+solvers::SimilarityResult falkner_skan(double beta,
+                                       std::vector<double>* h = nullptr) {
+  return solvers::solve_similarity(constant_property_table(),
+                                   {beta, 1.0, 0.0, 0.5, 1.0, 8.0, 200},
+                                   0.7, 0.5, h);
+}
+
+TEST(Similarity, ConstantPropertyShootMatchesFalknerSkan) {
+  const auto blasius = falkner_skan(0.0);
+  EXPECT_TRUE(blasius.converged);
+  EXPECT_NEAR(blasius.fpp0, 0.469600, 1e-5);
+  const auto stagnation = falkner_skan(0.5);
+  EXPECT_TRUE(stagnation.converged);
+  EXPECT_NEAR(stagnation.fpp0, 0.927680, 1e-5);
+}
+
+TEST(Similarity, StalledShootReportsUnconverged) {
+  // Known-unconverged (see similarity.hpp): from the seed the first shoot
+  // hits the f' guard and the Newton stops on the seed, short of the
+  // exact f''(0) = 1.232588. It must say so instead of passing it off.
+  const auto r = falkner_skan(1.0);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.fpp0, 0.7);
+}
+
+TEST(Similarity, ProfileRunsWallToEdge) {
+  std::vector<double> h;
+  ASSERT_TRUE(falkner_skan(0.5, &h).converged);
+  ASSERT_EQ(h.size(), 200u);
+  EXPECT_NEAR(h.front(), 0.5, 1e-12);  // g_w H
+  EXPECT_NEAR(h.back(), 1.0, 1e-7);    // edge: g = 1
+}
+
 // ---------- stagnation line ----------
 
 TEST(Stagnation, MatchesFayRiddellWithinThirtyPercent) {
@@ -350,6 +403,20 @@ TEST(Stagnation, RadiativeHeatingTurnsOnWithVelocity) {
   const double qr_slow = solver.solve(slow).q_rad;
   const double qr_fast = solver.solve(fast).q_rad;
   EXPECT_GT(qr_fast, 20.0 * std::max(qr_slow, 1.0));
+}
+
+TEST(Stagnation, ShuttleSmokeShootIsKnownUnconverged) {
+  // Known-unconverged (see similarity.hpp): at the smoke serving anchor
+  // the similarity shoot stops on its seed, and the solution says so.
+  scenario::Case c = *scenario::find_scenario("shuttle_stag_point");
+  c.fidelity = scenario::Fidelity::kSmoke;
+  const auto eq = scenario::make_equilibrium(c.gas, c.planet);
+  const solvers::StagnationLineSolver solver(
+      eq, scenario::detail::stagnation_options(c));
+  const auto sol = solver.solve(scenario::detail::stagnation_conditions(
+      c, scenario::make_planet(c.planet)));
+  EXPECT_FALSE(sol.converged);
+  EXPECT_GT(sol.q_conv, 0.0);
 }
 
 // ---------- Euler FV ----------
@@ -439,12 +506,11 @@ TEST(Marching, BoundaryLayerMatchesVslOnCone) {
   solvers::StagnationConditions sc{fs.velocity, fs.rho, fs.p, fs.t, 0.3,
                                    1200.0};
   const auto edge = stag.shock_layer_edge(sc);
-  const auto stag_state = eq.solve_ph(edge.p_stag, edge.h_stag);
   std::vector<solvers::BlStation> stations;
   for (const auto& r : vres)
     stations.push_back({r.s, body.at(r.s).r, r.p_e});
   solvers::BoundaryLayerSolver bl(eq);
-  const auto bres = bl.solve(stations, stag_state, edge.h_stag);
+  const auto bres = bl.solve(stations, edge.stag_state, edge.h_stag);
   for (std::size_t k = 2; k < vres.size(); ++k) {
     EXPECT_NEAR(bres.q_w[k], vres[k].q_w, 0.45 * vres[k].q_w) << k;
   }

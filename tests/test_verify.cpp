@@ -454,7 +454,6 @@ TEST(verify_consistency, stagnation_ebl_vsl_heating_agree) {
   // Newtonian pressures from the same stagnation state (the E+BL
   // runner's closure, collapsed onto the sphere).
   const geometry::Sphere body(rn);
-  const auto stag_state = eq.solve_ph(sol.edge.p_stag, sol.edge.h_stag);
   const double q_dyn = 0.5 * atmo.density * v_inf * v_inf;
   const double cp_max = (sol.edge.p_stag - atmo.pressure) / q_dyn;
   std::vector<solvers::BlStation> stations;
@@ -467,7 +466,7 @@ TEST(verify_consistency, stagnation_ebl_vsl_heating_agree) {
   solvers::BlOptions bopt;
   bopt.wall_temperature_K = t_wall;
   const solvers::BoundaryLayerSolver bl(eq, bopt);
-  const auto blr = bl.solve(stations, stag_state, sol.edge.h_stag);
+  const auto blr = bl.solve(stations, sol.edge.stag_state, sol.edge.h_stag);
   const double q_ebl = blr.q_w.front();
 
   // VSL march over the same hemisphere from just off the stagnation ray.
