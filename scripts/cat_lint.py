@@ -93,6 +93,7 @@ DEFAULT_ALLOC_FREE_TUS = [
     "src/scenario/surrogate_query.cpp",
     "src/solvers/correlations/correlations.cpp",
     "src/solvers/relax1d/relax1d.cpp",
+    "src/solvers/euler/euler.cpp",
     "src/solvers/similarity/similarity.cpp",
 ]
 

@@ -22,6 +22,9 @@ class GasModel {
   virtual double pressure(double rho, double e) const = 0;
   virtual double sound_speed(double rho, double e) const = 0;
   virtual double temperature(double rho, double e) const = 0;
+  /// {pressure, sound_speed, temperature} in one query, bitwise equal to
+  /// the three calls above; the FV solvers' per-cell and per-face query.
+  virtual gas::EosState state(double rho, double e) const = 0;
   /// Inverse: internal energy from (rho, p) for boundary/initial states.
   virtual double energy(double rho, double p) const = 0;
   /// Smallest internal energy the model accepts (positivity floor for the
@@ -43,6 +46,10 @@ class IdealGasModel final : public GasModel {
   }
   double temperature(double rho, double e) const override {
     return gas_.temperature(rho, gas_.pressure(rho, e));
+  }
+  gas::EosState state(double rho, double e) const override {
+    const double p = gas_.pressure(rho, e);
+    return {p, gas_.sound_speed(rho, p), gas_.temperature(rho, p)};
   }
   double energy(double rho, double p) const override {
     return gas_.internal_energy(rho, p);
@@ -68,6 +75,9 @@ class EquilibriumGasModel final : public GasModel {
   }
   double temperature(double rho, double e) const override {
     return table_->temperature(rho, e);
+  }
+  gas::EosState state(double rho, double e) const override {
+    return table_->state(rho, e);
   }
   double energy(double rho, double p) const override {
     return table_->energy_from_pressure(rho, p);

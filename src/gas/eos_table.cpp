@@ -129,6 +129,12 @@ double EquilibriumEosTable::sound_speed(double rho, double e) const {
   return a_(lr(rho), le(e));
 }
 
+EosState EquilibriumEosTable::state(double rho, double e) const {
+  // log_p_, a_ and t_ share one grid, so one located cell serves all three.
+  const numerics::BilinearTable::Cell c = log_p_.locate(lr(rho), le(e));
+  return {std::exp(log_p_.eval(c)), a_.eval(c), t_.eval(c)};
+}
+
 double EquilibriumEosTable::mass_fraction(std::size_t s, double rho,
                                           double e) const {
   CAT_REQUIRE(s < n_species_, "species index out of range");

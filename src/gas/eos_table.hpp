@@ -20,6 +20,13 @@
 
 namespace cat::gas {
 
+/// The three EOS values a finite-volume solver needs at one (rho, e) state.
+struct EosState {
+  double p;  ///< pressure [Pa]
+  double a;  ///< sound speed [m/s]
+  double t;  ///< temperature [K]
+};
+
 /// Interpolating equilibrium EOS over a (rho, e) window.
 class EquilibriumEosTable {
  public:
@@ -40,6 +47,10 @@ class EquilibriumEosTable {
   double temperature(double rho, double e) const;
   /// Equilibrium sound speed (from tabulated dp/drho, dp/de identity).
   double sound_speed(double rho, double e) const;
+  /// pressure, sound_speed and temperature in one query: the log map and
+  /// the cell search run once for all three tables (bitwise equal to the
+  /// three separate queries).
+  EosState state(double rho, double e) const;
   /// Mass fraction of local species index s.
   double mass_fraction(std::size_t s, double rho, double e) const;
   /// All mass fractions at once into \p y (size n_species).

@@ -119,23 +119,4 @@ BilinearTable::BilinearTable(double x0, double dx, std::size_t nx, double y0,
   CAT_REQUIRE(dx > 0.0 && dy > 0.0, "spacings must be positive");
 }
 
-double BilinearTable::operator()(double x, double y) const {
-  // Clamp into the grid, then clamp the *cell index* (not the fractional
-  // coordinate) to the last cell. A query exactly on the last grid line
-  // lands in the final cell with t == 1 and reproduces the stored node
-  // value bit-exactly; the previous `(n-1) - 1e-12` fudge perturbed every
-  // upper-edge query by ~1e-12 of the node spread. Interior queries are
-  // bitwise unchanged.
-  const double fx =
-      std::clamp((x - x0_) / dx_, 0.0, static_cast<double>(nx_ - 1));
-  const double fy =
-      std::clamp((y - y0_) / dy_, 0.0, static_cast<double>(ny_ - 1));
-  const std::size_t i = std::min(static_cast<std::size_t>(fx), nx_ - 2);
-  const std::size_t j = std::min(static_cast<std::size_t>(fy), ny_ - 2);
-  const double tx = fx - static_cast<double>(i);
-  const double ty = fy - static_cast<double>(j);
-  return (1 - tx) * (1 - ty) * at(i, j) + tx * (1 - ty) * at(i + 1, j) +
-         (1 - tx) * ty * at(i, j + 1) + tx * ty * at(i + 1, j + 1);
-}
-
 }  // namespace cat::numerics

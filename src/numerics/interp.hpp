@@ -4,6 +4,7 @@
 /// bilinear lookup on a regular 2-D grid. The bilinear table backs the fast
 /// equilibrium EOS used inside the finite-volume solvers.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -66,10 +67,37 @@ class BilinearTable {
   double ymin() const { return y0_; }
   double ymax() const { return y0_ + dy_ * static_cast<double>(ny_ - 1); }
 
+  /// Cell and fractional offsets of a query point. Tables that share one
+  /// grid (same origin, spacing and size) share the located cell, so a
+  /// caller reading several of them pays for the search once.
+  struct Cell {
+    std::size_t i, j;
+    double tx, ty;
+  };
+  /// Arguments are clamped to the table range. The cell index (not the
+  /// fractional coordinate) is clamped to the last cell, so a query
+  /// exactly on the last grid line lands in the final cell with t == 1 and
+  /// reproduces the stored node value bit-exactly.
+  Cell locate(double x, double y) const {
+    const double fx =
+        std::clamp((x - x0_) / dx_, 0.0, static_cast<double>(nx_ - 1));
+    const double fy =
+        std::clamp((y - y0_) / dy_, 0.0, static_cast<double>(ny_ - 1));
+    const std::size_t i = std::min(static_cast<std::size_t>(fx), nx_ - 2);
+    const std::size_t j = std::min(static_cast<std::size_t>(fy), ny_ - 2);
+    return {i, j, fx - static_cast<double>(i), fy - static_cast<double>(j)};
+  }
+  /// Bilinear value in a located cell.
+  double eval(const Cell& c) const {
+    return (1 - c.tx) * (1 - c.ty) * at(c.i, c.j) +
+           c.tx * (1 - c.ty) * at(c.i + 1, c.j) +
+           (1 - c.tx) * c.ty * at(c.i, c.j + 1) +
+           c.tx * c.ty * at(c.i + 1, c.j + 1);
+  }
   /// Bilinear value at (x, y); arguments are clamped to the table range.
   /// Queries exactly on a grid line (including the upper edges and the
   /// far corner) reproduce the stored node values exactly.
-  double operator()(double x, double y) const;
+  double operator()(double x, double y) const { return eval(locate(x, y)); }
 
  private:
   double x0_ = 0, dx_ = 1, y0_ = 0, dy_ = 1;

@@ -1,7 +1,9 @@
 #include "solvers/euler/euler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/error.hpp"
 #include "transport/transport.hpp"
@@ -10,6 +12,49 @@ namespace cat::solvers {
 
 using numerics::limited_slope;
 
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// HLLE numerical flux through a face with area-weighted normal (nx, nr),
+/// from each side's state and its EOS pressure and sound speed.
+Conservative hlle_flux(const Primitive& wl, const gas::EosState& el,
+                       const Primitive& wr, const gas::EosState& er,
+                       double nx, double nr) {
+  const double area = std::sqrt(nx * nx + nr * nr);
+  if (area < 1e-14) return {0.0, 0.0, 0.0, 0.0};
+  const double nxh = nx / area, nrh = nr / area;
+
+  auto pack = [&](const Primitive& w, double p, Conservative& cons,
+                  Conservative& flux, double& un) {
+    const double rho = w[0], u = w[1], v = w[2], e = w[3];
+    const double et = e + 0.5 * (u * u + v * v);
+    un = u * nxh + v * nrh;
+    cons = {rho, rho * u, rho * v, rho * et};
+    flux = {rho * un, rho * u * un + p * nxh, rho * v * un + p * nrh,
+            (rho * et + p) * un};
+  };
+  Conservative ul, fl, ur, fr;
+  double unl, unr;
+  pack(wl, el.p, ul, fl, unl);
+  pack(wr, er.p, ur, fr, unr);
+  const double al = el.a, ar = er.a;
+
+  const double sl = std::min(std::min(unl - al, unr - ar), 0.0);
+  const double sr = std::max(std::max(unl + al, unr + ar), 0.0);
+  Conservative f;
+  const double inv = 1.0 / std::max(sr - sl, 1e-12);
+  for (int k = 0; k < 4; ++k)
+    f[k] = area *
+           ((sr * fl[k] - sl * fr[k] + sl * sr * (ur[k] - ul[k])) * inv);
+  return f;
+}
+
+}  // namespace
+
+// cat-lint: allow-alloc (sizes every workspace once)
 EulerSolver::EulerSolver(const grid::StructuredGrid& grid,
                          std::shared_ptr<const core::GasModel> gas,
                          FvOptions opt)
@@ -22,6 +67,7 @@ EulerSolver::EulerSolver(const grid::StructuredGrid& grid,
   u_.assign(n, Conservative{});
   w_.assign(n, Primitive{});
   p_.assign(n, 0.0);
+  eos_.assign(n, gas::EosState{});
   res_.assign(n, Conservative{});
   u0_scratch_.assign(n, Conservative{});
   dt_scratch_.assign(n, 0.0);
@@ -41,6 +87,9 @@ EulerSolver::EulerSolver(const grid::StructuredGrid& grid,
     ys_.assign(ns_ * n, 0.0);
     res_s_.assign(ns_ * n, 0.0);
     us0_scratch_.assign(ns_ * n, 0.0);
+    slope_s_.assign(ns_ * n, 0.0);
+    if (opt_.species_dirichlet) ghost_s_.assign(4 * ns_, 0.0);
+    if (opt_.species_source) hook_s_.assign(ns_, 0.0);
     if (chem_active_) {
       wdot_.assign(ns_ * n, 0.0);
       damp_.assign(ns_ * n, 1.0);
@@ -55,12 +104,16 @@ EulerSolver::EulerSolver(const grid::StructuredGrid& grid,
 void EulerSolver::initialize(const FreeStream& fs) {
   CAT_REQUIRE(fs.rho > 0.0 && fs.p > 0.0, "bad freestream");
   fs_ = fs;
-  const double e_fs = gas_->energy(fs.rho, fs.p);
-  const Primitive w0{fs.rho, fs.u, fs.v, e_fs};
+  e_fs_ = gas_->energy(fs.rho, fs.p);
+  eos_fs_ = gas_->state(fs.rho, e_fs_);
+  v_cap_ = 4.0 * (std::fabs(fs.u) + std::fabs(fs.v) + eos_fs_.a);
+  e_floor_ = gas_->min_energy() + 1e-3 * std::fabs(e_fs_ - gas_->min_energy());
+  const Primitive w0{fs.rho, fs.u, fs.v, e_fs_};
   const Conservative c0 = encode(w0);
   std::fill(u_.begin(), u_.end(), c0);
   std::fill(w_.begin(), w_.end(), w0);
   std::fill(p_.begin(), p_.end(), fs.p);
+  std::fill(eos_.begin(), eos_.end(), eos_fs_);
   const std::size_t n = u_.size();
   for (std::size_t s = 0; s < ns_; ++s) {
     const double y0 = opt_.species_y0[s];
@@ -94,38 +147,30 @@ void EulerSolver::decode_all() {
   // rewrite the conservative state so U and w stay consistent (local
   // conservation error accepted during the transient; converged steady
   // states never trip the floors).
-  const double e_fs = gas_->energy(fs_.rho, fs_.p);
-  const double a_fs = gas_->sound_speed(fs_.rho, e_fs);
-  const double v_cap = 4.0 * (std::fabs(fs_.u) + std::fabs(fs_.v) + a_fs);
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(u_.size());
-       ++k) {
+  for (std::size_t k = 0; k < u_.size(); ++k) {
     Conservative& c = u_[k];
     c[0] = std::max(c[0], 1e-4 * fs_.rho);
     const double rho = c[0];
     double u = c[1] / rho, v = c[2] / rho;
     const double speed = std::sqrt(u * u + v * v);
-    if (speed > v_cap) {
-      const double scale = v_cap / speed;
+    if (speed > v_cap_) {
+      const double scale = v_cap_ / speed;
       u *= scale;
       v *= scale;
       c[1] = rho * u;
       c[2] = rho * v;
-      c[3] = std::min(c[3], rho * (std::fabs(e_fs) * 2.0 +
+      c[3] = std::min(c[3], rho * (std::fabs(e_fs_) * 2.0 +
                                    0.5 * (u * u + v * v)));
     }
     const double e = c[3] / rho - 0.5 * (u * u + v * v);
     // Floor: just above the gas model's validity edge (ideal gas: e > 0;
     // tabulated EOS: the table's lower energy bound).
-    const double e_min =
-        gas_->min_energy() + 1e-3 * std::fabs(e_fs - gas_->min_energy());
-    if (e < e_min) {
-      c[3] = rho * (e_min + 0.5 * (u * u + v * v));
+    if (e < e_floor_) {
+      c[3] = rho * (e_floor_ + 0.5 * (u * u + v * v));
     }
     w_[k] = decode(c);
-    p_[k] = gas_->pressure(w_[k][0], w_[k][3]);
+    eos_[k] = gas_->state(w_[k][0], w_[k][3]);
+    p_[k] = eos_[k].p;
   }
 }
 
@@ -136,11 +181,7 @@ void EulerSolver::decode_species() {
   // For exactly advected fields (frozen MMS) the repair is a no-op to
   // roundoff: symmetric limiters reconstruct sum(y) = 1 exactly.
   const std::size_t n = u_.size();
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t kk = 0; kk < static_cast<std::ptrdiff_t>(n); ++kk) {
-    const auto k = static_cast<std::size_t>(kk);
+  for (std::size_t k = 0; k < n; ++k) {
     const double rho = w_[k][0];
     const double inv_rho = 1.0 / rho;
     double sum = 0.0;
@@ -159,51 +200,21 @@ void EulerSolver::decode_species() {
   }
 }
 
-double EulerSolver::temperature(std::size_t i, std::size_t j) const {
-  const Primitive& w = w_[cidx(i, j)];
-  return gas_->temperature(w[0], w[3]);
-}
-
 double EulerSolver::mach(std::size_t i, std::size_t j) const {
   const Primitive& w = w_[cidx(i, j)];
-  const double a = gas_->sound_speed(w[0], w[3]);
-  return std::sqrt(w[1] * w[1] + w[2] * w[2]) / a;
+  return std::sqrt(w[1] * w[1] + w[2] * w[2]) / eos_[cidx(i, j)].a;
 }
 
-Conservative EulerSolver::hlle_flux(const Primitive& wl, const Primitive& wr,
-                                    double nx, double nr) const {
-  const double area = std::sqrt(nx * nx + nr * nr);
-  if (area < 1e-14) return {0.0, 0.0, 0.0, 0.0};
-  const double nxh = nx / area, nrh = nr / area;
-
-  auto pack = [&](const Primitive& w, Conservative& cons, Conservative& flux,
-                  double& un, double& a) {
-    const double rho = w[0], u = w[1], v = w[2], e = w[3];
-    const double p = gas_->pressure(rho, e);
-    const double et = e + 0.5 * (u * u + v * v);
-    un = u * nxh + v * nrh;
-    a = gas_->sound_speed(rho, e);
-    cons = {rho, rho * u, rho * v, rho * et};
-    flux = {rho * un, rho * u * un + p * nxh, rho * v * un + p * nrh,
-            (rho * et + p) * un};
-  };
-  Conservative ul, fl, ur, fr;
-  double unl, al, unr, ar;
-  pack(wl, ul, fl, unl, al);
-  pack(wr, ur, fr, unr, ar);
-
-  const double sl = std::min(std::min(unl - al, unr - ar), 0.0);
-  const double sr = std::max(std::max(unl + al, unr + ar), 0.0);
-  Conservative f;
-  const double inv = 1.0 / std::max(sr - sl, 1e-12);
-  for (int k = 0; k < 4; ++k)
-    f[k] = area *
-           ((sr * fl[k] - sl * fr[k] + sl * sr * (ur[k] - ul[k])) * inv);
-  return f;
+gas::EosState EulerSolver::side_state(const Primitive& w,
+                                      std::size_t k) const {
+  if (k != kNoCell && same_bits(w[0], w_[k][0]) && same_bits(w[3], w_[k][3]))
+    return eos_[k];
+  return gas_->state(w[0], w[3]);
 }
 
-Primitive EulerSolver::wall_ghost(const Primitive& w, double nx,
+Primitive EulerSolver::wall_ghost(std::size_t k, double nx,
                                   double nr) const {
+  const Primitive& w = w_[k];
   const double area = std::sqrt(nx * nx + nr * nr);
   const double nxh = nx / area, nrh = nr / area;
   if (!opt_.viscous) {
@@ -213,7 +224,7 @@ Primitive EulerSolver::wall_ghost(const Primitive& w, double nx,
   }
   // No-slip isothermal: reflect velocity; caloric scaling of (rho, e) keeps
   // the ghost near the wall pressure at T -> 2 T_wall - T_in.
-  const double t_in = gas_->temperature(w[0], w[3]);
+  const double t_in = eos_[k].t;
   const double t_ghost = std::max(2.0 * opt_.wall_temperature_K - t_in,
                                   0.2 * opt_.wall_temperature_K);
   const double ratio = t_ghost / std::max(t_in, 1.0);
@@ -266,117 +277,97 @@ Primitive EulerSolver::mms_state_j(std::size_t i, std::ptrdiff_t qj) const {
   return opt_.dirichlet(c[0], c[1]);
 }
 
-void EulerSolver::species_face_i(std::size_t i, std::size_t j, double f0) {
-  const std::size_t ni = grid_.ni(), n = u_.size();
-  const auto lim = opt_.limiter;
+void EulerSolver::species_line(bool along_i, std::size_t line) {
+  const std::size_t n = u_.size();
+  const std::size_t len = along_i ? grid_.ni() : grid_.nj();
+  const std::size_t stride = along_i ? grid_.nj() : 1;
+  const std::size_t base = along_i ? line : cidx(line, 0);
   const bool mms_sp = static_cast<bool>(opt_.species_dirichlet);
-  if (!mms_sp && (i == 0 || i == ni)) {
-    // Physical boundary faces mirror the bulk ghost policy: the axis
-    // mirror and the outflow zero-gradient both leave y unchanged across
-    // the face, so the species flux is f0 times the interior fraction.
-    const std::size_t c = cidx(i == 0 ? 0 : ni - 1, j);
+  if (mms_sp) {
+    // Ghost rows g = 0..3 hold line positions -2, -1, len, len + 1.
+    for (std::size_t g = 0; g < 4; ++g) {
+      const auto q = g < 2 ? static_cast<std::ptrdiff_t>(g) - 2
+                           : static_cast<std::ptrdiff_t>(len + g - 2);
+      const auto c = along_i ? mms_center_i(q, line) : mms_center_j(line, q);
+      opt_.species_dirichlet(c[0], c[1],
+                             std::span<double>(ghost_s_.data() + g * ns_, ns_));
+    }
+  }
+  if (!second_order_now_) return;
+  // Cells whose full stencil exists: the interior of the line, or every
+  // cell when Dirichlet ghosts close the stencil.
+  const std::size_t q0 = mms_sp ? 0 : 1;
+  const std::size_t q1 = mms_sp ? len : len - 1;
+  for (std::size_t s = 0; s < ns_; ++s) {
+    const double* y = ys_.data() + s * n + base;
+    double* slope = slope_s_.data() + s * n + base;
+    for (std::size_t q = q0; q < q1; ++q) {
+      const double ym = q == 0 ? ghost_s_[ns_ + s] : y[(q - 1) * stride];
+      const double yc = y[q * stride];
+      const double yp =
+          q + 1 == len ? ghost_s_[2 * ns_ + s] : y[(q + 1) * stride];
+      slope[q * stride] = limited_slope(opt_.limiter, yc - ym, yp - yc);
+    }
+  }
+}
+
+void EulerSolver::species_face(bool along_i, std::size_t line,
+                               std::size_t q, double f0) {
+  const std::size_t n = u_.size();
+  const std::size_t len = along_i ? grid_.ni() : grid_.nj();
+  const std::size_t stride = along_i ? grid_.nj() : 1;
+  const std::size_t base = along_i ? line : cidx(line, 0);
+  const std::size_t kl = base + (q - 1) * stride;  // valid for q > 0
+  const std::size_t kr = base + q * stride;        // valid for q < len
+  const bool mms_sp = static_cast<bool>(opt_.species_dirichlet);
+  if (!mms_sp && (q == 0 || q == len)) {
+    // First-order boundary faces. The axis mirror, the outflow
+    // zero-gradient and the non-catalytic wall ghost carry the interior
+    // fractions; the outer boundary sees freestream fractions outside.
+    // With equal sides the upwind rule below is exactly f0 * y.
+    const std::size_t k_in = q == 0 ? kr : kl;
+    const bool outer = !along_i && q == len;
     for (std::size_t s = 0; s < ns_; ++s) {
-      const double fs = f0 * ys_[s * n + c];
-      if (i > 0) res_s_[s * n + cidx(i - 1, j)] += fs;
-      if (i < ni) res_s_[s * n + cidx(i, j)] -= fs;
+      const double yl = ys_[s * n + k_in];
+      const double yr = outer ? opt_.species_y0[s] : yl;
+      const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
+      if (q > 0) res_s_[s * n + kl] += fs;
+      if (q < len) res_s_[s * n + kr] -= fs;
     }
     return;
   }
-  // cat-lint: allow-alloc (thread-local stencil scratch; no-op after 1st call)
-  thread_local std::vector<double> ym2, ym1, yp1, yp2;
-  ym2.resize(ns_);
-  ym1.resize(ns_);
-  yp1.resize(ns_);
-  yp2.resize(ns_);
-  auto fetch = [&](std::ptrdiff_t qi, std::vector<double>& out) {
-    if (qi < 0 || qi >= static_cast<std::ptrdiff_t>(ni)) {
-      if (mms_sp) {
-        const auto g = mms_center_i(qi, j);
-        opt_.species_dirichlet(g[0], g[1], out);
-        return;
-      }
-      qi = qi < 0 ? 0 : static_cast<std::ptrdiff_t>(ni) - 1;
-    }
-    const std::size_t c = cidx(static_cast<std::size_t>(qi), j);
-    for (std::size_t s = 0; s < ns_; ++s) out[s] = ys_[s * n + c];
-  };
-  const auto q = static_cast<std::ptrdiff_t>(i);
-  fetch(q - 2, ym2);
-  fetch(q - 1, ym1);
-  fetch(q, yp1);
-  fetch(q + 1, yp2);
-  const bool have_m2 = mms_sp || i >= 2;
-  const bool have_p2 = mms_sp || i + 1 < ni;
+  // Slopes come from slope_s_; the two ghost cells next to the boundary
+  // (Dirichlet mode only) take theirs from the exact ghost fractions.
+  const auto lim = opt_.limiter;
+  const bool slope_l = second_order_now_ && (mms_sp || q >= 2);
+  const bool slope_r = second_order_now_ && (mms_sp || q + 1 < len);
+  const double* g = ghost_s_.data();
   for (std::size_t s = 0; s < ns_; ++s) {
-    double yl = ym1[s], yr = yp1[s];
-    if (second_order_now_) {
-      if (have_m2)
-        yl += 0.5 * limited_slope(lim, ym1[s] - ym2[s], yp1[s] - ym1[s]);
-      if (have_p2)
-        yr -= 0.5 * limited_slope(lim, yp1[s] - ym1[s], yp2[s] - yp1[s]);
+    const double* y = ys_.data() + s * n;
+    const double* slope = slope_s_.data() + s * n;
+    double yl, yr;
+    if (q > 0) {
+      yl = y[kl];
+      if (slope_l) yl += 0.5 * slope[kl];
+    } else {
+      const double gm2 = g[s], gm1 = g[ns_ + s];
+      yl = gm1;
+      if (slope_l) yl += 0.5 * limited_slope(lim, gm1 - gm2, y[kr] - gm1);
+    }
+    if (q < len) {
+      yr = y[kr];
+      if (slope_r) yr -= 0.5 * slope[kr];
+    } else {
+      const double gp1 = g[2 * ns_ + s], gp2 = g[3 * ns_ + s];
+      yr = gp1;
+      if (slope_r) yr -= 0.5 * limited_slope(lim, gp1 - y[kl], gp2 - gp1);
     }
     // Upwind on the sign of the bulk mass flux: f0 yl for outflow of the
     // left cell, f0 yr for inflow — consistent with the HLLE mass flux so
     // a uniform y field advects exactly.
     const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-    if (i > 0) res_s_[s * n + cidx(i - 1, j)] += fs;
-    if (i < ni) res_s_[s * n + cidx(i, j)] -= fs;
-  }
-}
-
-void EulerSolver::species_face_j(std::size_t i, std::size_t j, double f0) {
-  const std::size_t nj = grid_.nj(), n = u_.size();
-  const auto lim = opt_.limiter;
-  const bool mms_sp = static_cast<bool>(opt_.species_dirichlet);
-  if (!mms_sp && (j == 0 || j == nj)) {
-    // Wall faces are non-catalytic (ghost carries the interior fractions);
-    // the outer boundary sees freestream fractions on the exterior side.
-    for (std::size_t s = 0; s < ns_; ++s) {
-      const double y_in = ys_[s * n + cidx(i, j == 0 ? 0 : nj - 1)];
-      const double yl = y_in;
-      const double yr = j == nj ? opt_.species_y0[s] : y_in;
-      const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-      if (j > 0) res_s_[s * n + cidx(i, j - 1)] += fs;
-      if (j < nj) res_s_[s * n + cidx(i, j)] -= fs;
-    }
-    return;
-  }
-  // cat-lint: allow-alloc (thread-local stencil scratch; no-op after 1st call)
-  thread_local std::vector<double> ym2, ym1, yp1, yp2;
-  ym2.resize(ns_);
-  ym1.resize(ns_);
-  yp1.resize(ns_);
-  yp2.resize(ns_);
-  auto fetch = [&](std::ptrdiff_t qj, std::vector<double>& out) {
-    if (qj < 0 || qj >= static_cast<std::ptrdiff_t>(nj)) {
-      if (mms_sp) {
-        const auto g = mms_center_j(i, qj);
-        opt_.species_dirichlet(g[0], g[1], out);
-        return;
-      }
-      qj = qj < 0 ? 0 : static_cast<std::ptrdiff_t>(nj) - 1;
-    }
-    const std::size_t c = cidx(i, static_cast<std::size_t>(qj));
-    for (std::size_t s = 0; s < ns_; ++s) out[s] = ys_[s * n + c];
-  };
-  const auto q = static_cast<std::ptrdiff_t>(j);
-  fetch(q - 2, ym2);
-  fetch(q - 1, ym1);
-  fetch(q, yp1);
-  fetch(q + 1, yp2);
-  const bool have_m2 = mms_sp || j >= 2;
-  const bool have_p2 = mms_sp || j + 1 < nj;
-  for (std::size_t s = 0; s < ns_; ++s) {
-    double yl = ym1[s], yr = yp1[s];
-    if (second_order_now_) {
-      if (have_m2)
-        yl += 0.5 * limited_slope(lim, ym1[s] - ym2[s], yp1[s] - ym1[s]);
-      if (have_p2)
-        yr -= 0.5 * limited_slope(lim, yp1[s] - ym1[s], yp2[s] - yp1[s]);
-    }
-    const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-    if (j > 0) res_s_[s * n + cidx(i, j - 1)] += fs;
-    if (j < nj) res_s_[s * n + cidx(i, j)] -= fs;
+    if (q > 0) res_s_[s * n + kl] += fs;
+    if (q < len) res_s_[s * n + kr] -= fs;
   }
 }
 
@@ -394,7 +385,7 @@ void EulerSolver::update_chemistry_source(const std::vector<double>& dts) {
   const chemistry::Mechanism& mech = *opt_.mechanism;
   for (std::size_t k = 0; k < n; ++k) {
     chem_rho_[k] = w_[k][0];
-    chem_t_[k] = gas_->temperature(w_[k][0], w_[k][3]);
+    chem_t_[k] = eos_[k].t;
   }
   const std::size_t block = std::max<std::size_t>(opt_.species_block, 1);
   for (std::size_t i0 = 0; i0 < n; i0 += block) {
@@ -459,15 +450,15 @@ void EulerSolver::accumulate_fluxes() {
   };
 
   // ---- i-direction sweeps ----
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t jj = 0; jj < static_cast<std::ptrdiff_t>(nj); ++jj) {
-    const auto j = static_cast<std::size_t>(jj);
+  for (std::size_t j = 0; j < nj; ++j) {
+    if (ns_ > 0) species_line(/*along_i=*/true, j);
     for (std::size_t i = 0; i <= ni; ++i) {
       const double nx = grid_.iface_nx(i, j);
       const double nr = grid_.iface_nr(i, j);
       Primitive wl, wr;
+      // Cells owning the two face sides (their EOS cache may be reused).
+      std::size_t kl = i > 0 ? cidx(i - 1, j) : kNoCell;
+      std::size_t kr = i < ni ? cidx(i, j) : kNoCell;
       if (mms) {
         // Dirichlet verification mode: every face sees a full MUSCL
         // stencil, with exact manufactured states beyond the boundary.
@@ -477,41 +468,42 @@ void EulerSolver::accumulate_fluxes() {
                     wl, wr);
       } else if (i == 0) {
         // Axis/symmetry boundary: mirrored ghost.
-        wl = axis_ghost(w_[cidx(0, j)]);
-        wr = w_[cidx(0, j)];
+        wl = axis_ghost(w_[kr]);
+        wr = w_[kr];
+        kl = kr;
       } else if (i == ni) {
         // Outflow: zero-gradient ghost.
-        wl = w_[cidx(ni - 1, j)];
+        wl = w_[kl];
         wr = wl;
+        kr = kl;
       } else {
         const bool have_m2 = i >= 2;
         const bool have_p2 = i + 1 < ni;
-        face_states(have_m2 ? w_[cidx(i - 2, j)] : w_[cidx(i - 1, j)],
-                    w_[cidx(i - 1, j)], w_[cidx(i, j)],
-                    have_p2 ? w_[cidx(i + 1, j)] : w_[cidx(i, j)], have_m2,
-                    have_p2, wl, wr);
+        face_states(have_m2 ? w_[cidx(i - 2, j)] : w_[kl], w_[kl], w_[kr],
+                    have_p2 ? w_[cidx(i + 1, j)] : w_[kr], have_m2, have_p2,
+                    wl, wr);
       }
-      const Conservative f = hlle_flux(wl, wr, nx, nr);
+      const Conservative f = hlle_flux(wl, side_state(wl, kl), wr,
+                                       side_state(wr, kr), nx, nr);
       // res accumulates net outflux; update is U -= dt/V res.
       if (i > 0)
         for (int k = 0; k < 4; ++k) res_[cidx(i - 1, j)][k] += f[k];
       if (i < ni)
         for (int k = 0; k < 4; ++k) res_[cidx(i, j)][k] -= f[k];
-      if (ns_ > 0) species_face_i(i, j, f[0]);
+      if (ns_ > 0) species_face(/*along_i=*/true, j, i, f[0]);
     }
   }
 
   // ---- j-direction sweeps ----
-  const double e_fs = gas_->energy(fs_.rho, fs_.p);
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(ni); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  const Primitive w_fs{fs_.rho, fs_.u, fs_.v, e_fs_};
+  for (std::size_t i = 0; i < ni; ++i) {
+    if (ns_ > 0) species_line(/*along_i=*/false, i);
     for (std::size_t j = 0; j <= nj; ++j) {
       const double nx = grid_.jface_nx(i, j);
       const double nr = grid_.jface_nr(i, j);
       Primitive wl, wr;
+      std::size_t kl = j > 0 ? cidx(i, j - 1) : kNoCell;
+      std::size_t kr = j < nj ? cidx(i, j) : kNoCell;
       if (mms) {
         const auto qj = static_cast<std::ptrdiff_t>(j);
         face_states(mms_state_j(i, qj - 2), mms_state_j(i, qj - 1),
@@ -519,39 +511,37 @@ void EulerSolver::accumulate_fluxes() {
                     wl, wr);
       } else if (j == 0) {
         // Wall: ghost below.
-        wr = w_[cidx(i, 0)];
-        wl = wall_ghost(wr, nx, nr);
+        wr = w_[kr];
+        wl = wall_ghost(kr, nx, nr);
+        kl = kr;
       } else if (j == nj) {
         // Outer boundary: freestream (supersonic inflow).
-        wl = w_[cidx(i, nj - 1)];
-        wr = {fs_.rho, fs_.u, fs_.v, e_fs};
+        wl = w_[kl];
+        wr = w_fs;
       } else {
         const bool have_m2 = j >= 2;
         const bool have_p2 = j + 1 < nj;
-        face_states(have_m2 ? w_[cidx(i, j - 2)] : w_[cidx(i, j - 1)],
-                    w_[cidx(i, j - 1)], w_[cidx(i, j)],
-                    have_p2 ? w_[cidx(i, j + 1)] : w_[cidx(i, j)], have_m2,
-                    have_p2, wl, wr);
+        face_states(have_m2 ? w_[cidx(i, j - 2)] : w_[kl], w_[kl], w_[kr],
+                    have_p2 ? w_[cidx(i, j + 1)] : w_[kr], have_m2, have_p2,
+                    wl, wr);
       }
-      const Conservative f = hlle_flux(wl, wr, nx, nr);
+      // The freestream ghost's EOS is the constant computed by initialize().
+      const gas::EosState er =
+          !mms && j == nj ? eos_fs_ : side_state(wr, kr);
+      const Conservative f =
+          hlle_flux(wl, side_state(wl, kl), wr, er, nx, nr);
       if (j > 0)
         for (int k = 0; k < 4; ++k) res_[cidx(i, j - 1)][k] += f[k];
       if (j < nj)
         for (int k = 0; k < 4; ++k) res_[cidx(i, j)][k] -= f[k];
-      if (ns_ > 0) species_face_j(i, j, f[0]);
+      if (ns_ > 0) species_face(/*along_i=*/false, i, j, f[0]);
     }
   }
 
   // ---- axisymmetric pressure source (update is U -= dt/V res) ----
   if (grid_.axisymmetric()) {
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(u_.size());
-         ++k) {
-      const std::size_t i = static_cast<std::size_t>(k) / nj;
-      const std::size_t j = static_cast<std::size_t>(k) % nj;
-      res_[k][2] -= p_[k] * grid_.area(i, j);
+    for (std::size_t k = 0; k < u_.size(); ++k) {
+      res_[k][2] -= p_[k] * grid_.area(k / nj, k % nj);
     }
   }
 
@@ -579,15 +569,12 @@ void EulerSolver::accumulate_fluxes() {
   }
   if (opt_.species_source) {
     const std::size_t n = u_.size();
-    // cat-lint: allow-alloc (hook scratch; no-op after 1st call)
-    thread_local std::vector<double> s_hook;
-    s_hook.resize(ns_);
     for (std::size_t i = 0; i < ni; ++i) {
       for (std::size_t j = 0; j < nj; ++j) {
-        opt_.species_source(grid_.xc(i, j), grid_.rc(i, j), s_hook);
+        opt_.species_source(grid_.xc(i, j), grid_.rc(i, j), hook_s_);
         const double vol = grid_.volume(i, j);
         for (std::size_t s = 0; s < ns_; ++s)
-          res_s_[s * n + cidx(i, j)] -= s_hook[s] * vol;
+          res_s_[s * n + cidx(i, j)] -= hook_s_[s] * vol;
       }
     }
   }
@@ -608,8 +595,13 @@ void EulerSolver::accumulate_viscous() {
     if (area < 1e-14) return;
     const double nxh = nx / area, nrh = nr / area;
 
+    const std::size_t ka = cidx(ia, ja), kb = cidx(ib, jb);
     Primitive wa, wb;
     double dn;
+    // Temperatures of both sides, and the pressure of the side `wn` below
+    // (wb at boundary faces, wa elsewhere): cell sides read the cache, the
+    // freestream side its constants, ghost states query the EOS.
+    double ta, tb, p_loc;
     if (mms && (wall_face || outer_face)) {
       // Dirichlet verification: the exterior state is the exact
       // manufactured value at the extrapolated ghost center.
@@ -617,19 +609,29 @@ void EulerSolver::accumulate_viscous() {
           wall_face ? -1 : static_cast<std::ptrdiff_t>(nj);
       const auto cg = mms_center_j(ib, qg);
       const Primitive wg = opt_.dirichlet(cg[0], cg[1]);
-      wa = wall_face ? wg : w_[cidx(ia, ja)];
-      wb = wall_face ? w_[cidx(ib, jb)] : wg;
+      wa = wall_face ? wg : w_[ka];
+      wb = wall_face ? w_[kb] : wg;
+      if (wall_face) {
+        ta = gas_->temperature(wg[0], wg[3]);
+        tb = eos_[kb].t;
+        p_loc = eos_[kb].p;
+      } else {
+        const gas::EosState eg = gas_->state(wg[0], wg[3]);
+        ta = eos_[ka].t;
+        tb = eg.t;
+        p_loc = eg.p;
+      }
       const double xi2 = wall_face ? grid_.xc(ib, jb) : cg[0];
       const double ri2 = wall_face ? grid_.rc(ib, jb) : cg[1];
       const double xi1 = wall_face ? cg[0] : grid_.xc(ia, ja);
       const double ri1 = wall_face ? cg[1] : grid_.rc(ia, ja);
       dn = std::sqrt((xi2 - xi1) * (xi2 - xi1) + (ri2 - ri1) * (ri2 - ri1));
     } else {
-      wa = wall_face ? wall_ghost(w_[cidx(ib, jb)], nx, nr)
-                     : w_[cidx(ia, ja)];
-      wb = outer_face ? Primitive{fs_.rho, fs_.u, fs_.v,
-                                  gas_->energy(fs_.rho, fs_.p)}
-                      : w_[cidx(ib, jb)];
+      wa = wall_face ? wall_ghost(kb, nx, nr) : w_[ka];
+      wb = outer_face ? Primitive{fs_.rho, fs_.u, fs_.v, e_fs_} : w_[kb];
+      ta = wall_face ? gas_->temperature(wa[0], wa[3]) : eos_[ka].t;
+      tb = outer_face ? eos_fs_.t : eos_[kb].t;
+      p_loc = outer_face ? eos_fs_.p : wall_face ? eos_[kb].p : eos_[ka].p;
       if (wall_face) {
         const double xw = 0.5 * (grid_.xn(ib, 0) + grid_.xn(ib + 1, 0));
         const double rw = 0.5 * (grid_.rn(ib, 0) + grid_.rn(ib + 1, 0));
@@ -643,14 +645,11 @@ void EulerSolver::accumulate_viscous() {
       }
     }
     if (dn < 1e-14) return;
-    const double ta = gas_->temperature(wa[0], wa[3]);
-    const double tb = gas_->temperature(wb[0], wb[3]);
 
     const double t_face = std::clamp(0.5 * (ta + tb), 50.0, 30000.0);
     const double mu = transport::sutherland_viscosity(t_face);
     const Primitive& wn = wall_face || outer_face ? wb : wa;
     const double t_n = wall_face || outer_face ? tb : ta;
-    const double p_loc = gas_->pressure(wn[0], wn[3]);
     const double gamma_eff =
         std::clamp(p_loc / (wn[0] * std::max(wn[3], 1e3)) + 1.0, 1.05, 1.67);
     // cp from the same cell state as p_loc/rho (p/(rho T) is that cell's
@@ -690,11 +689,7 @@ void EulerSolver::accumulate_viscous() {
     }
   };
 
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(ni); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < ni; ++i) {
     for (std::size_t j = 0; j <= nj; ++j) {
       const double nx = grid_.jface_nx(i, j);
       const double nr = grid_.jface_nr(i, j);
@@ -711,7 +706,7 @@ void EulerSolver::accumulate_viscous() {
 
 double EulerSolver::local_dt(std::size_t i, std::size_t j) const {
   const Primitive& w = w_[cidx(i, j)];
-  const double a = gas_->sound_speed(w[0], w[3]);
+  const double a = eos_[cidx(i, j)].a;
   double sum = 0.0;
   for (std::size_t f = 0; f < 2; ++f) {
     const double nx = grid_.iface_nx(i + f, j);
@@ -735,8 +730,7 @@ double EulerSolver::local_dt(std::size_t i, std::size_t j) const {
     // explicit limit dt <= dy^2/(2 nu_eff) once cells are fine enough
     // (exposed by the verify NS convergence ladder). Thin-layer model:
     // only the j-direction diffusion counts.
-    const double t_c = std::clamp(gas_->temperature(w[0], w[3]), 50.0,
-                                  30000.0);
+    const double t_c = std::clamp(eos_[cidx(i, j)].t, 50.0, 30000.0);
     const double mu = transport::sutherland_viscosity(t_c);
     const double p_c = p_[cidx(i, j)];
     const double gamma_eff =
@@ -827,15 +821,16 @@ std::size_t EulerSolver::solve() {
   std::size_t done = 0;
   const std::size_t chunk = 50;
   while (done < opt_.max_iter) {
-    const double rel = advance(std::min(chunk, opt_.max_iter - done));
-    done += chunk;
-    if (rel < opt_.residual_tol) break;
+    const std::size_t step = std::min(chunk, opt_.max_iter - done);
+    done += step;
+    if (advance(step) < opt_.residual_tol) break;
     if (!std::isfinite(residual_))
       throw SolverError("EulerSolver: residual diverged");
   }
   return done;
 }
 
+// cat-lint: allow-alloc (returns a new vector; not on the iteration path)
 std::vector<EulerSolver::ShockPoint> EulerSolver::shock_locations() const {
   std::vector<ShockPoint> pts;
   pts.reserve(grid_.ni());
@@ -854,6 +849,7 @@ std::vector<EulerSolver::ShockPoint> EulerSolver::shock_locations() const {
   return pts;
 }
 
+// cat-lint: allow-alloc (returns a new vector; not on the iteration path)
 std::vector<double> EulerSolver::wall_heat_flux() const {
   std::vector<double> q(grid_.ni(), 0.0);
   if (!opt_.viscous) return q;

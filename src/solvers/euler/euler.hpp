@@ -99,6 +99,18 @@ using Conservative = std::array<double, 4>;
 using Primitive = std::array<double, 4>;
 
 /// Axisymmetric finite-volume Euler/Navier-Stokes solver.
+///
+/// EOS work is done once per state. initialize() inverts the freestream
+/// (rho, p) to e once and keeps that state's {p, a, T}, the speed cap and
+/// the energy floor. decode_all() fills a per-cell cache of {p, a, T}
+/// through one fused GasModel::state() query, and every cell-centred
+/// reader (time step, viscous fluxes, wall ghost, chemistry, the field
+/// accessors) reads it. A face side reuses its cell's cached {p, a} when
+/// the reconstructed (rho, e) equal that cell's bit for bit (first-order
+/// faces, mirror ghosts, zero-slope faces, the uniform freestream region);
+/// any other side (limited reconstructions, the no-slip ghost, Dirichlet
+/// ghosts) makes one fused query. Results are bitwise those of querying
+/// p, a and T separately at every use.
 class EulerSolver {
  public:
   EulerSolver(const grid::StructuredGrid& grid,
@@ -108,7 +120,7 @@ class EulerSolver {
   void initialize(const FreeStream& fs);
 
   /// Advance until the density residual drops by residual_tol or max_iter
-  /// is reached; returns iterations taken.
+  /// is reached; returns the iterations run.
   std::size_t solve();
 
   /// Advance exactly n iterations (no convergence check); returns the
@@ -121,10 +133,14 @@ class EulerSolver {
   const Primitive& primitive(std::size_t i, std::size_t j) const {
     return w_[cidx(i, j)];
   }
+  /// Cell pressure: the EOS value once an iteration has run, the
+  /// freestream p right after initialize().
   double pressure(std::size_t i, std::size_t j) const {
     return p_[cidx(i, j)];
   }
-  double temperature(std::size_t i, std::size_t j) const;
+  double temperature(std::size_t i, std::size_t j) const {
+    return eos_[cidx(i, j)].t;
+  }
   double mach(std::size_t i, std::size_t j) const;
   double internal_energy(std::size_t i, std::size_t j) const {
     return w_[cidx(i, j)][3];
@@ -161,10 +177,19 @@ class EulerSolver {
   std::shared_ptr<const core::GasModel> gas_;
   FvOptions opt_;
   FreeStream fs_{};
+  // Freestream constants, set once by initialize().
+  double e_fs_ = 0.0;         // e(rho_inf, p_inf): the one EOS inversion
+  gas::EosState eos_fs_{};    // {p, a, T} at (rho_inf, e_inf)
+  double v_cap_ = 0.0;        // decode_all's speed cap
+  double e_floor_ = 0.0;      // decode_all's internal-energy floor
 
   std::vector<Conservative> u_;   // conservative states
   std::vector<Primitive> w_;      // primitive mirror [rho, u, v, e]
-  std::vector<double> p_;         // cached cell pressures
+  // Cell pressures for the axisymmetric source, the viscous time step and
+  // the shock/heat-flux outputs: fs.p after initialize(), eos_[k].p after
+  // each decode. Faces never read it (they need the EOS value).
+  std::vector<double> p_;
+  std::vector<gas::EosState> eos_;  // EOS of w_ per cell (the cache)
   std::vector<Conservative> res_; // accumulated residuals
   // Per-iteration workspaces (workspace convention: preallocated once in
   // the constructor so the residual loop never allocates).
@@ -183,12 +208,14 @@ class EulerSolver {
   Primitive decode(const Conservative& c) const;
   Conservative encode(const Primitive& p) const;
 
-  /// HLLE numerical flux through a face with area-weighted normal (nx,nr).
-  Conservative hlle_flux(const Primitive& wl, const Primitive& wr, double nx,
-                         double nr) const;
+  /// EOS of a face side owned by cell k: the cell's cached state when
+  /// (rho, e) equal the cell's bit for bit, else one fused query
+  /// (k = kNoCell for Dirichlet ghosts, which no cell owns).
+  gas::EosState side_state(const Primitive& w, std::size_t k) const;
+  static constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
 
-  /// Ghost states for each boundary.
-  Primitive wall_ghost(const Primitive& inside, double nx, double nr) const;
+  /// Ghost state of the wall face below cell k.
+  Primitive wall_ghost(std::size_t k, double nx, double nr) const;
   Primitive axis_ghost(const Primitive& inside) const;
 
   /// Dirichlet-mode stencil access along a sweep line: interior indices
@@ -212,6 +239,9 @@ class EulerSolver {
   std::vector<double> ys_;          ///< primitive mass fractions
   std::vector<double> res_s_;       ///< species residuals
   std::vector<double> us0_scratch_; ///< RK2 stage-0 species state
+  std::vector<double> slope_s_;     ///< limited slopes along the current sweep
+  std::vector<double> ghost_s_;     ///< Dirichlet ghost fractions of one line
+  std::vector<double> hook_s_;      ///< species_source output of one cell
   std::vector<double> wdot_;        ///< finite-rate sources [kg/(m^3 s)]
   std::vector<double> damp_;        ///< point-implicit factors 1/(1+dt L)
   std::vector<double> chem_rho_;    ///< contiguous rho for the batch kernel
@@ -222,10 +252,15 @@ class EulerSolver {
   /// Batched finite-rate sources + point-implicit damping factors from the
   /// current field (lagged one iteration — steady-state consistent).
   void update_chemistry_source(const std::vector<double>& dts);
-  /// Species upwind flux through one face, riding on the HLLE mass flux
-  /// f0; sweep direction picks the stencil axis.
-  void species_face_i(std::size_t i, std::size_t j, double f0);
-  void species_face_j(std::size_t i, std::size_t j, double f0);
+  /// Species stencil of one sweep line (along i at fixed j, or along j at
+  /// fixed i): the Dirichlet ghost fractions at line positions -2, -1,
+  /// len, len + 1 (verification mode) and, at second order, every cell's
+  /// limited slope into slope_s_, each computed once.
+  void species_line(bool along_i, std::size_t line);
+  /// Species upwind flux through face q of that line (between cells q - 1
+  /// and q), riding on the HLLE mass flux f0.
+  void species_face(bool along_i, std::size_t line, std::size_t q,
+                    double f0);
 };
 
 }  // namespace cat::solvers

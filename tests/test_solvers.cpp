@@ -5,16 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "atmosphere/atmosphere.hpp"
 #include "chemistry/reaction.hpp"
 #include "core/error.hpp"
+#include "core/gas_model.hpp"
 #include "core/heating.hpp"
 #include "gas/eos_table.hpp"
 #include "geometry/body.hpp"
 #include "solvers/bl/boundary_layer.hpp"
 #include "solvers/euler/euler.hpp"
+#include "solvers/ns/ns.hpp"
 #include "solvers/pns/pns.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner_detail.hpp"
@@ -178,6 +182,49 @@ TEST(EosTable, MassFractionsNormalized) {
     sum += v;
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
+// ---------- fused EOS query ----------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_state_equals_queries(const core::GasModel& gas, double rho,
+                                 double e) {
+  const gas::EosState st = gas.state(rho, e);
+  EXPECT_TRUE(same_bits(st.p, gas.pressure(rho, e)))
+      << gas.name() << " rho=" << rho << " e=" << e;
+  EXPECT_TRUE(same_bits(st.a, gas.sound_speed(rho, e)))
+      << gas.name() << " rho=" << rho << " e=" << e;
+  EXPECT_TRUE(same_bits(st.t, gas.temperature(rho, e)))
+      << gas.name() << " rho=" << rho << " e=" << e;
+}
+
+TEST(GasModel, FusedStateIsBitwiseEqualToScalarQueries) {
+  gas::EquilibriumSolver eq(gas::make_air5(), {{"N2", 0.79}, {"O2", 0.21}});
+  const gas::EquilibriumEosTable::Range range{.rho_min = 1e-4,
+                                              .rho_max = 1.0,
+                                              .e_min = -3e5,
+                                              .e_max = 2e7,
+                                              .n_rho = 24,
+                                              .n_e = 24};
+  const core::EquilibriumGasModel equilibrium(
+      std::make_shared<const gas::EquilibriumEosTable>(eq, range));
+  const core::IdealGasModel ideal(gas::IdealGas(1.4, 287.053));
+  const std::vector<std::pair<double, double>> states = {
+      // interior
+      {1e-2, 2e6}, {1e-3, 8e6}, {0.5, 1e6}, {0.37, 1.3e5},
+      // table nodes: corners and a point on the lowest density line
+      {range.rho_min, range.e_min}, {range.rho_max, range.e_max},
+      {range.rho_min, range.e_max}, {range.rho_max, range.e_min},
+      {range.rho_min, 2e6},
+      // off the table (clamped onto its edges)
+      {1e-7, -2e6}, {20.0, 5e8}, {1e-2, 1e9}, {1e-9, 1e6}};
+  for (const auto& [rho, e] : states) {
+    expect_state_equals_queries(equilibrium, rho, e);
+    expect_state_equals_queries(ideal, rho, e);
+  }
 }
 
 // ---------- relax1d ----------
@@ -468,6 +515,94 @@ TEST(Euler, Mach20HemisphereAnchors) {
   EXPECT_NEAR(solver.temperature(0, 0), t0, 0.05 * t0);
   EXPECT_NEAR(solver.pressure(0, 0), 0.92 * rho * v * v,
               0.08 * 0.92 * rho * v * v);
+}
+
+// The per-cell EOS cache must describe the current field exactly: the
+// field accessors equal direct EOS queries of primitive(i, j) bit for bit.
+void expect_cache_matches_field(const solvers::EulerSolver& solver) {
+  const core::GasModel& gas = solver.gas();
+  for (std::size_t i = 0; i < solver.grid().ni(); ++i) {
+    for (std::size_t j = 0; j < solver.grid().nj(); ++j) {
+      const auto& w = solver.primitive(i, j);
+      const double mach =
+          std::sqrt(w[1] * w[1] + w[2] * w[2]) / gas.sound_speed(w[0], w[3]);
+      EXPECT_TRUE(same_bits(solver.temperature(i, j),
+                            gas.temperature(w[0], w[3])))
+          << i << "," << j;
+      EXPECT_TRUE(same_bits(solver.pressure(i, j), gas.pressure(w[0], w[3])))
+          << i << "," << j;
+      EXPECT_TRUE(same_bits(solver.mach(i, j), mach)) << i << "," << j;
+    }
+  }
+}
+
+grid::StructuredGrid small_hemisphere_grid(const geometry::Sphere& body) {
+  const double r = body.nose_radius();
+  return grid::make_normal_grid(
+      body, body.total_arc_length(), 10, 10,
+      [&](double s) {
+        const double z = s / body.total_arc_length();
+        return r * (0.30 + 0.40 * z * z);
+      },
+      1.5);
+}
+
+TEST(Euler, EosCacheMatchesFieldOnEquilibriumNsHemisphere) {
+  geometry::Sphere body(0.05);
+  const auto g = small_hemisphere_grid(body);
+  const double rho = 3e-4, t_inf = 230.0, v = 5000.0;
+  const double p_inf = rho * 287.053 * t_inf;
+  solvers::FvOptions opt;
+  opt.startup_iters = 20;  // reach the second-order faces within the test
+  solvers::NavierStokesSolver solver(
+      g, core::make_equilibrium_air_model(rho, t_inf, v, 16), opt);
+  solver.initialize({rho, v, 0.0, p_inf});
+  // Right after initialize() the cell pressure is the given freestream p,
+  // not the EOS value of (rho_inf, e_inf); T and the sound speed are EOS.
+  EXPECT_EQ(solver.pressure(3, 3), p_inf);
+  const auto& w0 = solver.primitive(3, 3);
+  EXPECT_TRUE(same_bits(solver.temperature(3, 3),
+                        solver.gas().temperature(w0[0], w0[3])));
+  solver.advance(60);
+  ASSERT_TRUE(std::isfinite(solver.residual()));
+  expect_cache_matches_field(solver);
+}
+
+TEST(Euler, EosCacheMatchesFieldOnFiniteRateAir5) {
+  geometry::Sphere body(0.05);
+  const auto g = small_hemisphere_grid(body);
+  const double rho = 3e-4, t_inf = 230.0, v = 5000.0;
+  auto mech = std::make_shared<chemistry::Mechanism>(chemistry::park_air5());
+  std::vector<double> y0(mech->n_species(), 0.0);
+  y0[mech->species_set().local_index("N2")] = 0.767;
+  y0[mech->species_set().local_index("O2")] = 0.233;
+  solvers::FvOptions opt;
+  opt.startup_iters = 20;
+  opt.mechanism = mech;
+  opt.species_y0 = y0;
+  solvers::EulerSolver solver(
+      g, core::make_equilibrium_air_model(rho, t_inf, v, 16), opt);
+  solver.initialize({rho, v, 0.0, rho * 287.053 * t_inf});
+  solver.advance(60);
+  ASSERT_TRUE(std::isfinite(solver.residual()));
+  expect_cache_matches_field(solver);
+}
+
+TEST(Euler, SolveCountsOnlyTheIterationsItRan) {
+  // The budget is not a multiple of the 50-iteration chunk: the last
+  // chunk is 25 iterations and the count must say so.
+  geometry::Sphere body(0.1);
+  auto g = grid::make_normal_grid(
+      body, body.total_arc_length(), 8, 8, [](double) { return 0.08; }, 1.3);
+  solvers::FvOptions opt;
+  opt.startup_iters = 0;
+  opt.max_iter = 75;
+  opt.residual_tol = 1e-30;
+  solvers::EulerSolver solver(
+      g, std::make_shared<core::IdealGasModel>(gas::IdealGas(1.4, 287.0)),
+      opt);
+  solver.initialize({0.05, 3000.0, 0.0, 2000.0});
+  EXPECT_EQ(solver.solve(), 75u);
 }
 
 // ---------- marching solvers ----------

@@ -14,10 +14,14 @@
 #include "chemistry/batch.hpp"
 #include "chemistry/reaction.hpp"
 #include "chemistry/source.hpp"
+#include "core/gas_model.hpp"
 #include "gas/equilibrium.hpp"
+#include "geometry/body.hpp"
+#include "grid/grid.hpp"
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
+#include "solvers/euler/euler.hpp"
 #include "solvers/relax1d/relax1d.hpp"
 
 namespace {
@@ -385,6 +389,37 @@ TEST(WorkspaceAlloc, HintedEnthalpyInversionAllocatesOnlyItsResult) {
   EXPECT_EQ(one_step_allocs, far_allocs);
   EXPECT_LE(one_step_allocs, result_allocs);
   EXPECT_GT(sink, 0.0);
+}
+
+// ---- finite-volume residual loop: workspaces sized by the constructor ----
+
+TEST(WorkspaceAlloc, FiniteRateFvAdvanceIsAllocationFreeAfterWarmup) {
+  // Air5 finite-rate Euler on the tabulated equilibrium EOS: the flux
+  // sweeps, species slopes, chemistry batch and decode all run in the
+  // solver's own workspaces, so an iteration allocates nothing.
+  const geometry::Sphere body(0.05);
+  const auto g = grid::make_normal_grid(
+      body, body.total_arc_length(), 8, 8, [](double) { return 0.02; }, 1.5);
+  const double rho = 3e-4, t_inf = 230.0, v = 5000.0;
+  auto mech = std::make_shared<chemistry::Mechanism>(chemistry::park_air5());
+  std::vector<double> y0(mech->n_species(), 0.0);
+  y0[mech->species_set().local_index("N2")] = 0.767;
+  y0[mech->species_set().local_index("O2")] = 0.233;
+  solvers::FvOptions opt;
+  opt.startup_iters = 2;
+  opt.mechanism = mech;
+  opt.species_y0 = y0;
+  solvers::EulerSolver solver(
+      g, core::make_equilibrium_air_model(rho, t_inf, v, 12), opt);
+  solver.initialize({rho, v, 0.0, rho * 287.053 * t_inf});
+  solver.advance(3);  // warm-up, past the first-order startup
+  std::size_t allocs = 0;
+  {
+    AllocCounterScope scope;
+    solver.advance(1);
+    allocs = scope.count();
+  }
+  EXPECT_EQ(allocs, 0u) << "FV iteration allocated";
 }
 
 }  // namespace
