@@ -13,10 +13,11 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/driver.hpp"
+#include "atmosphere/atmosphere.hpp"
 #include "gas/constants.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "scenario/pulse.hpp"
 
 using namespace cat;
 
@@ -39,16 +40,16 @@ int main() {
       probe, entry, atmo, gas::constants::kTitanRadius,
       gas::constants::kTitanG0, topt);
 
-  core::HeatingPulseOptions hopt;
-  hopt.max_points = 36;
-  hopt.wall_temperature_K = 1800.0;
-  const auto pulse = core::heating_pulse(traj, probe, stag, hopt);
+  scenario::PulseOptions popt;
+  popt.max_points = 36;
+  popt.wall_temperature_K = 1800.0;
+  const auto pulse = scenario::heating_pulse(traj, probe, stag, popt);
 
   io::Table table(
       "Fig 2: Titan probe stagnation heating pulses (V_entry = 12 km/s)");
   table.set_columns(
       {"time_s", "alt_km", "v_kms", "q_conv_Wcm2", "q_rad_Wcm2"});
-  for (const auto& p : pulse) {
+  for (const auto& p : pulse.points) {
     table.add_row({p.time, p.altitude / 1000.0, p.velocity / 1000.0,
                    p.q_conv / 1e4, p.q_rad / 1e4});
   }
@@ -57,7 +58,7 @@ int main() {
 
   // Pulse shape diagnostics (the comparison the figure makes).
   double qc_max = 0.0, qr_max = 0.0, t_qc = 0.0, t_qr = 0.0;
-  for (const auto& p : pulse) {
+  for (const auto& p : pulse.points) {
     if (p.q_conv > qc_max) {
       qc_max = p.q_conv;
       t_qc = p.time;
@@ -72,6 +73,6 @@ int main() {
       "peak q_rad = %.1f W/cm^2 at t = %.0f s\n"
       "integrated heat load = %.1f kJ/cm^2\n",
       qc_max / 1e4, t_qc, qr_max / 1e4, t_qr,
-      core::heat_load(pulse) / 1e7);
+      pulse.heat_load() / 1e7);
   return 0;
 }

@@ -10,9 +10,9 @@
 
 #include <cmath>
 
+#include "core/thread_pool.hpp"
 #include "gas/constants.hpp"
 #include "scenario/pulse.hpp"
-#include "scenario/thread_pool.hpp"
 
 using namespace cat;
 
@@ -68,7 +68,7 @@ void pulse_serial(benchmark::State& state) {
 }
 
 void pulse_threaded(benchmark::State& state) {
-  const std::size_t threads = scenario::ThreadPool::recommended_threads();
+  const std::size_t threads = core::ThreadPool::recommended_threads();
   for (auto _ : state) {
     const auto pulse = run_pulse(threads);
     benchmark::DoNotOptimize(pulse.points.data());

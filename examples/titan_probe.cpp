@@ -6,9 +6,9 @@
 
 #include <cstdio>
 
+#include "core/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
-#include "scenario/thread_pool.hpp"
 
 using namespace cat;
 
@@ -20,7 +20,7 @@ int main() {
   }
 
   scenario::RunOptions opt;
-  opt.threads = scenario::ThreadPool::recommended_threads();
+  opt.threads = core::ThreadPool::recommended_threads();
   const auto r = scenario::run_case(*c, opt);
 
   r.table.print();

@@ -1,4 +1,4 @@
-// Fuzz target: the CATSURR1/2 binary surrogate-table loader over raw
+// Fuzz target: the CATSURR2 binary surrogate-table loader over raw
 // bytes. cat_serve preloads whatever *.surrogate.bin it finds, so every
 // field of a record is attacker-controlled. Oracle: any byte sequence
 // either parses into a queryable table or throws cat::Error — any other

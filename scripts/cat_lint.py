@@ -101,7 +101,6 @@ DEFAULT_ALLOC_FREE_TUS = [
 # dimensioned public fields. Numerics options (tolerances on caller-defined
 # scales) are dimension-agnostic by design and stay out of scope.
 DEFAULT_UNIT_SUFFIX_FILES = [
-    "src/core/driver.hpp",
     "src/scenario/batch.hpp",
     "src/scenario/pulse.hpp",
     "src/scenario/runner.hpp",
@@ -154,7 +153,8 @@ UNIT_SUFFIXES = (
 ITER_VAR_NAMES = {"it", "its", "iter", "iters", "iteration", "newton"}
 
 # How far past a convergence loop's closing brace a throw/guard may sit and
-# still count as handling exhaustion.
+# still count as handling exhaustion. The window also ends where the block
+# enclosing the loop closes, so a throw in the next function never counts.
 POST_LOOP_THROW_WINDOW = 12
 
 KNOWN_WAIVERS = {
@@ -355,6 +355,21 @@ THROW_OR_GUARD_RE = re.compile(
 )
 
 
+def enclosing_block_tail(lines):
+    """The code of `lines` up to the '}' that closes the block they start
+    in (all of it when that block stays open past them)."""
+    depth = 0
+    for n, s in enumerate(lines):
+        for col, ch in enumerate(s):
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth < 0:
+                    return "\n".join(lines[:n] + [s[:col]])
+    return "\n".join(lines)
+
+
 def check_convergence_loops(path, code, comments, findings):
     for idx, line in enumerate(code):
         for m in FOR_RE.finditer(line):
@@ -404,7 +419,7 @@ def check_convergence_loops(path, code, comments, findings):
                 continue  # header never closed: parsing gave up
             if THROW_OR_GUARD_RE.search(body):
                 continue  # exhaustion (or in-loop stall) raises inside
-            tail = "\n".join(
+            tail = enclosing_block_tail(
                 code[body_end + 1 : body_end + 1 + POST_LOOP_THROW_WINDOW])
             if THROW_OR_GUARD_RE.search(tail):
                 continue  # falls through into an explicit exhaustion guard

@@ -48,6 +48,11 @@ class CheckFiresOnSeededViolation(unittest.TestCase):
         self.assert_flags("convergence-loop", "--check", "convergence-loop",
                           fixture("convergence_loop_violation.cpp"))
 
+    def test_convergence_loop_throw_in_next_function(self):
+        # The post-loop throw window ends with the enclosing block.
+        self.assert_flags("convergence-loop", "--check", "convergence-loop",
+                          fixture("convergence_loop_next_function_throw.cpp"))
+
     def test_hot_path_alloc(self):
         f = fixture("hot_path_alloc_violation.cpp")
         self.assert_flags("hot-path-alloc", "--check", "hot-path-alloc",

@@ -11,7 +11,7 @@
 /// wrappers that keep every acquisition visible to the analyzer while
 /// still being plain standard-library synchronization underneath.
 ///
-/// Usage (see scenario/thread_pool.hpp for the worked example):
+/// Usage (see core/thread_pool.hpp for the worked example):
 ///
 ///   cat::Mutex mu_;
 ///   int shared_ CAT_GUARDED_BY(mu_);

@@ -1,8 +1,8 @@
 #include "scenario/batch.hpp"
 
 #include "core/error.hpp"
+#include "core/thread_pool.hpp"
 #include "scenario/runner_detail.hpp"
-#include "scenario/thread_pool.hpp"
 
 namespace cat::scenario {
 
@@ -15,7 +15,7 @@ BatchResult run_batch(const std::vector<Case>& cases,
   RunOptions ropt;
   ropt.threads = opt.threads_per_case;
 
-  ThreadPool pool(opt.threads);
+  core::ThreadPool pool(opt.threads);
   pool.parallel_for(cases.size(), [&](std::size_t i) {
     try {
       out.results[i] = run_case(cases[i], ropt);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/error.hpp"
-#include "scenario/thread_pool.hpp"
+#include "core/thread_pool.hpp"
 
 namespace cat::scenario {
 
@@ -44,10 +44,10 @@ PulseResult heating_pulse(
   out.points.resize(idx.size());
   out.status.resize(idx.size());
 
-  ThreadPool pool(opt.threads);
+  core::ThreadPool pool(opt.threads);
   pool.parallel_for(idx.size(), [&](std::size_t i) {
     const auto& p = traj[idx[i]];
-    core::HeatingPoint hp{p.time, p.velocity, p.altitude, 0.0, 0.0};
+    HeatingPoint hp{p.time, p.velocity, p.altitude, 0.0, 0.0};
     PulsePointStatus st;
     if (p.density < opt.continuum_density_floor_kg_m3) {
       // Free-molecular fringe: no continuum shock layer yet.
@@ -85,6 +85,17 @@ PulseResult heating_pulse(
     }
   }
   return out;
+}
+
+double PulseResult::heat_load() const {
+  double acc = 0.0;
+  for (std::size_t k = 1; k < points.size(); ++k) {
+    acc += 0.5 *
+           (points[k].q_conv + points[k].q_rad + points[k - 1].q_conv +
+            points[k - 1].q_rad) *
+           (points[k].time - points[k - 1].time);
+  }
+  return acc;
 }
 
 }  // namespace cat::scenario

@@ -5,21 +5,27 @@
 /// executed across a thread pool. Every trajectory point is independent,
 /// so results are bitwise identical for any thread count.
 ///
-/// This is the engine under core::heating_pulse (kept as a thin serial
-/// shim for source compatibility) and under the StagnationPulse scenario
-/// runner.
+/// This is the engine under the StagnationPulse scenario runner and the
+/// Fig. 2 program, which runs it on the default single thread.
 
 #include <cstddef>
 #include <vector>
 
-#include "core/driver.hpp"
 #include "solvers/stagnation/stagnation.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace cat::scenario {
 
-/// Options for the batch pulse driver (superset of the legacy
-/// core::HeatingPulseOptions).
+/// One point of a heating pulse.
+struct HeatingPoint {
+  double time;       ///< [s]
+  double velocity;   ///< [m/s]
+  double altitude;   ///< [m]
+  double q_conv;     ///< [W/m^2]
+  double q_rad;      ///< [W/m^2]
+};
+
+/// Options for the batch pulse driver.
 struct PulseOptions {
   double start_velocity_fraction = 0.15;  ///< skip points below this V/V_entry  // cat-lint: dimensionless
   std::size_t max_points = 80;            ///< stagnation solves along the pulse
@@ -41,13 +47,14 @@ enum class PulsePointStatus : unsigned char {
 /// every point the solver could not handle (instead of silently recording
 /// zeros, the pre-refactor behavior).
 struct PulseResult {
-  std::vector<core::HeatingPoint> points;
+  std::vector<HeatingPoint> points;
   std::vector<PulsePointStatus> status;  ///< parallel to points
   std::size_t n_solved = 0;
   std::size_t n_free_molecular = 0;
   std::size_t n_skipped = 0;             ///< solver failures (cat::Error)
 
-  double heat_load() const { return core::heat_load(points); }
+  /// Integrated heat load [J/m^2] (q_conv + q_rad, trapezoid over time).
+  double heat_load() const;
 };
 
 /// Decimation of a trajectory for the pulse driver: indices of the points

@@ -14,14 +14,10 @@ namespace cat::scenario {
 
 namespace {
 
-// Format v2 records the base case's solver family + angle of attack in
-// the identity block (the v1 matching bug: a sphere-cone or trajectory
-// case with the same nose radius silently got a hemisphere
-// stagnation-point table's answer). v1 records are still loadable — every
-// v1 table was built by the kStagnationPoint builder at zero angle of
-// attack, so those identity defaults are exact, not guesses.
+// The identity block records the base case's solver family + angle of
+// attack, so a sphere-cone or trajectory case with the same nose radius
+// can never receive a hemisphere stagnation-point table's answer.
 constexpr const char* kMagic = "CATSURR2";
-constexpr const char* kMagicV1 = "CATSURR1";
 
 void validate_domain(const SurrogateDomain& d) {
   CAT_REQUIRE(d.n_velocity >= 2 && d.n_altitude >= 2,
@@ -78,21 +74,17 @@ SurrogateTable assemble(SurrogateMeta meta, const SurrogateDomain& dom,
         {1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}};
     for (std::size_t i = 0; i + 1 < nv; ++i) {
       for (std::size_t j = 0; j + 1 < na; ++j) {
-        const double c00 = t.at(i, j), c10 = t.at(i + 1, j);
-        const double c01 = t.at(i, j + 1), c11 = t.at(i + 1, j + 1);
         double max_dev = 0.0;
         for (const auto& [ox, oy] : kProbes) {
-          const double tx = 0.5 * static_cast<double>(ox);
-          const double ty = 0.5 * static_cast<double>(oy);
-          const double interp = (1.0 - tx) * (1.0 - ty) * c00 +
-                                tx * (1.0 - ty) * c10 +
-                                (1.0 - tx) * ty * c01 + tx * ty * c11;
+          const double interp =
+              t.eval({i, j, 0.5 * static_cast<double>(ox),
+                      0.5 * static_cast<double>(oy)});
           const double truth = refined[ch][(2 * i + ox) * nar + 2 * j + oy];
           max_dev = std::max(max_dev, std::fabs(truth - interp));
         }
         const double scale = std::max(
-            {std::fabs(c00), std::fabs(c10), std::fabs(c01),
-             std::fabs(c11)});
+            {std::fabs(t.at(i, j)), std::fabs(t.at(i + 1, j)),
+             std::fabs(t.at(i, j + 1)), std::fabs(t.at(i + 1, j + 1))});
         b[i * (na - 1) + j] =
             opt.safety_factor * max_dev + opt.relative_floor * scale;
       }
@@ -189,10 +181,9 @@ namespace {
 SurrogateTable load_from(io::BinaryReader& r) {
   const std::string& path = r.name();
   const std::string magic = r.read_magic();
-  if (magic != kMagic && magic != kMagicV1)
+  if (magic != kMagic)
     throw Error("SurrogateTable::load: '" + path +
-                "' is not a CATSURR record (bad magic)");
-  const bool legacy_v1 = magic == kMagicV1;
+                "' is not a CATSURR2 record (bad magic)");
   SurrogateMeta meta;
   const std::uint64_t planet = r.read_u64();
   const std::uint64_t gas = r.read_u64();
@@ -202,22 +193,14 @@ SurrogateTable load_from(io::BinaryReader& r) {
                 "' names an unknown planet/gas (corrupt or newer record)");
   meta.planet = static_cast<Planet>(planet);
   meta.gas = static_cast<GasModelKind>(gas);
-  if (legacy_v1) {
-    // v1 predates the identity fields; every v1 table came out of the
-    // kStagnationPoint builder at zero angle of attack (the defaults set
-    // in SurrogateMeta), so there is nothing to read here.
-  } else {
-    const std::uint64_t family = r.read_u64();
-    if (family > static_cast<std::uint64_t>(
-                     SolverFamily::kShockTubeRelaxation))
-      throw Error("SurrogateTable::load: '" + path +
-                  "' names an unknown solver family (corrupt or newer "
-                  "record)");
-    meta.family = static_cast<SolverFamily>(family);
-  }
+  const std::uint64_t family = r.read_u64();
+  if (family > static_cast<std::uint64_t>(SolverFamily::kShockTubeRelaxation))
+    throw Error("SurrogateTable::load: '" + path +
+                "' names an unknown solver family (corrupt or newer record)");
+  meta.family = static_cast<SolverFamily>(family);
   meta.nose_radius_m = r.read_f64();
   meta.wall_temperature_K = r.read_f64();
-  if (!legacy_v1) meta.angle_of_attack_rad = r.read_f64();
+  meta.angle_of_attack_rad = r.read_f64();
   if (!std::isfinite(meta.nose_radius_m) ||
       !std::isfinite(meta.wall_temperature_K) ||
       !std::isfinite(meta.angle_of_attack_rad))

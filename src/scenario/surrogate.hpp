@@ -116,12 +116,9 @@ class SurrogateTable {
   double node_value(std::size_t channel, std::size_t iv,
                     std::size_t ia) const;
 
-  /// Binary round trip (io::BinaryWriter/Reader). save() writes the
-  /// current format (magic "CATSURR2", which records the base case's
-  /// solver family and angle of attack); load() also accepts legacy
-  /// "CATSURR1" records — they predate the identity fields and carry the
-  /// defaults they were all built with (kStagnationPoint, zero angle of
-  /// attack), so the committed anchor table keeps serving.
+  /// Binary round trip (io::BinaryWriter/Reader) in the "CATSURR2"
+  /// format, which records the base case's solver family and angle of
+  /// attack in the identity block; a record of any other magic is refused.
   ///
   /// Both loaders treat the record as UNTRUSTED bytes: every count is
   /// validated against the bytes remaining in the source before any
@@ -141,7 +138,6 @@ class SurrogateTable {
   SurrogateDomain domain_;
   std::array<numerics::BilinearTable, kNChannels> values_;
   std::array<std::vector<double>, kNChannels> bounds_;
-  std::size_t cell_index(double velocity_mps, double altitude_m) const;
 };
 
 /// Build a surrogate by batch-running the high-fidelity hierarchy (the

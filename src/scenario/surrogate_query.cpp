@@ -1,11 +1,8 @@
 // Surrogate lookup hot path, split into its own translation unit so the
 // whole TU sits on cat_lint's hot-path-alloc list and the operator-new
 // counting tests (tests/test_workspace_alloc.cpp): serving a query is a
-// bounds check, one cell-index computation and four bilinear reads — no
+// bounds check, one cell location and four bilinear blends — no
 // allocation anywhere but the off-table throw path.
-
-#include <algorithm>
-#include <cmath>
 
 #include "core/error.hpp"
 #include "scenario/surrogate.hpp"
@@ -31,24 +28,6 @@ bool SurrogateTable::covers(double velocity_mps, double altitude_m) const {
          altitude_m <= domain_.altitude_max_m;
 }
 
-std::size_t SurrogateTable::cell_index(double velocity_mps,
-                                       double altitude_m) const {
-  // Same cell selection as BilinearTable::operator(): clamp the index so
-  // upper-edge queries land in the last cell.
-  const std::size_t nv = domain_.n_velocity, na = domain_.n_altitude;
-  const double dv = (domain_.velocity_max_mps - domain_.velocity_min_mps) /
-                    static_cast<double>(nv - 1);
-  const double da = (domain_.altitude_max_m - domain_.altitude_min_m) /
-                    static_cast<double>(na - 1);
-  const double fv = (velocity_mps - domain_.velocity_min_mps) / dv;
-  const double fa = (altitude_m - domain_.altitude_min_m) / da;
-  const std::size_t i =
-      std::min(static_cast<std::size_t>(std::max(fv, 0.0)), nv - 2);
-  const std::size_t j =
-      std::min(static_cast<std::size_t>(std::max(fa, 0.0)), na - 2);
-  return i * (na - 1) + j;
-}
-
 SurrogateAnswer SurrogateTable::query(double velocity_mps,
                                       double altitude_m) const {
   if (!covers(velocity_mps, altitude_m))
@@ -56,43 +35,19 @@ SurrogateAnswer SurrogateTable::query(double velocity_mps,
         "surrogate query off-table: the requested flight state lies "
         "outside the tabulated domain of '" + meta_.base_case +
         "' (no clamping — fall back to a correlation or a full solve)");
-  // All four channel tables share the grid, so the cell location and
-  // blend weights are computed once and reused — this is what keeps the
-  // serving path at ~4 fused blends instead of 4 independent lookups.
-  // Same index arithmetic as BilinearTable::operator(): clamp the cell
-  // index, not the coordinate, so upper-edge queries reproduce nodes.
-  const std::size_t nv = domain_.n_velocity, na = domain_.n_altitude;
-  const double dv = (domain_.velocity_max_mps - domain_.velocity_min_mps) /
-                    static_cast<double>(nv - 1);
-  const double da = (domain_.altitude_max_m - domain_.altitude_min_m) /
-                    static_cast<double>(na - 1);
-  const double fv =
-      std::clamp((velocity_mps - domain_.velocity_min_mps) / dv, 0.0,
-                 static_cast<double>(nv - 1));
-  const double fa =
-      std::clamp((altitude_m - domain_.altitude_min_m) / da, 0.0,
-                 static_cast<double>(na - 1));
-  const std::size_t i = std::min(static_cast<std::size_t>(fv), nv - 2);
-  const std::size_t j = std::min(static_cast<std::size_t>(fa), na - 2);
-  const double tx = fv - static_cast<double>(i);
-  const double ty = fa - static_cast<double>(j);
-  const double w00 = (1.0 - tx) * (1.0 - ty), w10 = tx * (1.0 - ty);
-  const double w01 = (1.0 - tx) * ty, w11 = tx * ty;
-  const std::size_t cell = i * (na - 1) + j;
-
-  const auto blend = [&](const numerics::BilinearTable& t) {
-    return w00 * t.at(i, j) + w10 * t.at(i + 1, j) + w01 * t.at(i, j + 1) +
-           w11 * t.at(i + 1, j + 1);
-  };
+  // All four channel tables share the grid, so the cell is located once
+  // and each channel pays only its blend.
+  const auto cell = values_[0].locate(velocity_mps, altitude_m);
+  const std::size_t k = cell.i * (domain_.n_altitude - 1) + cell.j;
   SurrogateAnswer a;
-  a.q_conv_W_m2 = blend(values_[0]);
-  a.q_conv_err_W_m2 = bounds_[0][cell];
-  a.q_rad_W_m2 = blend(values_[1]);
-  a.q_rad_err_W_m2 = bounds_[1][cell];
-  a.t_stag_K = blend(values_[2]);
-  a.t_stag_err_K = bounds_[2][cell];
-  a.p_stag_Pa = blend(values_[3]);
-  a.p_stag_err_Pa = bounds_[3][cell];
+  a.q_conv_W_m2 = values_[0].eval(cell);
+  a.q_conv_err_W_m2 = bounds_[0][k];
+  a.q_rad_W_m2 = values_[1].eval(cell);
+  a.q_rad_err_W_m2 = bounds_[1][k];
+  a.t_stag_K = values_[2].eval(cell);
+  a.t_stag_err_K = bounds_[2][k];
+  a.p_stag_Pa = values_[3].eval(cell);
+  a.p_stag_err_Pa = bounds_[3][k];
   return a;
 }
 

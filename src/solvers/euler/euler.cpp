@@ -748,7 +748,7 @@ double EulerSolver::advance(std::size_t n) {
   // Preallocated per-iteration workspaces (no allocation in the loop).
   std::vector<Conservative>& u0 = u0_scratch_;
   std::vector<double>& dts = dt_scratch_;
-  for (std::size_t it = 0; it < n; ++it) {
+  for (std::size_t step = 0; step < n; ++step) {
     // Startup phase: first-order, half CFL (impulsive-start robustness).
     const bool startup = iter_count_ < opt_.startup_iters;
     second_order_now_ = opt_.muscl && !startup;

@@ -20,7 +20,6 @@ import struct
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 MAGIC_V2 = b"CATSURR2"
-MAGIC_V1 = b"CATSURR1"
 
 
 def u64(v):
@@ -52,21 +51,6 @@ def surr_v2(planet=0, gas=0, family=0, nose=0.3, wall=300.0, aoa=0.0,
     return out
 
 
-def surr_v1(planet=0, gas=0, nose=0.3, wall=300.0, base="seed_case",
-            nv=2, na=2, vmin=1000.0, vmax=2000.0, amin=10000.0,
-            amax=20000.0, node=1.0, bound=0.1, payload=True):
-    """A legacy CATSURR1 record (no family / angle-of-attack fields)."""
-    out = MAGIC_V1 + u64(planet) + u64(gas)
-    out += f64(nose) + f64(wall) + wire_string(base)
-    out += u64(nv) + u64(na)
-    out += f64(vmin) + f64(vmax) + f64(amin) + f64(amax)
-    if payload:
-        for _ in range(4):
-            out += f64(node) * (nv * na)
-            out += f64(bound) * ((nv - 1) * (na - 1))
-    return out
-
-
 def write(harness, name, data):
     d = os.path.join(HERE, harness)
     os.makedirs(d, exist_ok=True)
@@ -79,11 +63,10 @@ def write(harness, name, data):
 def main():
     nan = float("nan")
 
-    # --- fuzz_surrogate_load: CATSURR1/2 records -------------------------
+    # --- fuzz_surrogate_load: CATSURR2 records ---------------------------
     write("fuzz_surrogate_load", "valid_v2_small", surr_v2())
     write("fuzz_surrogate_load", "valid_v2_3x4",
           surr_v2(nv=3, na=4, vmax=4000.0, amax=40000.0))
-    write("fuzz_surrogate_load", "valid_v1_small", surr_v1())
     write("fuzz_surrogate_load", "empty", b"")
     write("fuzz_surrogate_load", "bad_magic", b"NOTSURR!" + b"\0" * 64)
     write("fuzz_surrogate_load", "short_magic", b"CATS")
@@ -117,11 +100,6 @@ def main():
     write("fuzz_surrogate_load", "v2_huge_string",
           MAGIC_V2 + u64(0) + u64(0) + u64(0) + f64(0.3) + f64(300.0) +
           f64(0.0) + u64(2 ** 63) + b"x" * 32)
-    write("fuzz_surrogate_load", "v1_truncated_payload",
-          surr_v1(payload=False) + f64(1.0) * 3)
-    write("fuzz_surrogate_load", "v1_unknown_planet",
-          surr_v1(planet=99, payload=False))
-    write("fuzz_surrogate_load", "v1_nan_domain", surr_v1(vmin=nan))
 
     # --- fuzz_serve_line: protocol request streams -----------------------
     write("fuzz_serve_line", "list", "list\n")

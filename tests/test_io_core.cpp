@@ -11,7 +11,6 @@
 #include <limits>
 
 #include "atmosphere/atmosphere.hpp"
-#include "core/driver.hpp"
 #include "core/error.hpp"
 #include "gas/constants.hpp"
 #include "core/gas_model.hpp"
@@ -20,6 +19,7 @@
 #include "io/contour.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "scenario/pulse.hpp"
 
 namespace {
 
@@ -278,9 +278,10 @@ TEST(Driver, HeatingPulseShape) {
   const auto traj = trajectory::integrate_entry(
       probe, {9000.0, -6.0 * M_PI / 180.0, 115000.0}, atmo,
       gas::constants::kEarthRadius, gas::constants::kEarthG0);
-  core::HeatingPulseOptions hopt;
-  hopt.max_points = 14;
-  const auto pulse = core::heating_pulse(traj, probe, stag, hopt);
+  scenario::PulseOptions popt;
+  popt.max_points = 14;
+  const auto result = scenario::heating_pulse(traj, probe, stag, popt);
+  const auto& pulse = result.points;
   ASSERT_GT(pulse.size(), 5u);
   // The pulse rises then falls: peak strictly inside.
   std::size_t k_peak = 0;
@@ -288,7 +289,7 @@ TEST(Driver, HeatingPulseShape) {
     if (pulse[k].q_conv > pulse[k_peak].q_conv) k_peak = k;
   EXPECT_GT(k_peak, 0u);
   EXPECT_LT(k_peak, pulse.size() - 1);
-  EXPECT_GT(core::heat_load(pulse), 0.0);
+  EXPECT_GT(result.heat_load(), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Scenario-engine tests: registry integrity, runner dispatch, the batch
 // heating-pulse driver (decimation fix, skip accounting, thread-count
-// determinism, golden regression), the thread pool, and the legacy
-// core::heating_pulse shim.
+// determinism, golden regression) and core::ThreadPool.
 
 #include <gtest/gtest.h>
 
@@ -13,14 +12,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/driver.hpp"
 #include "core/error.hpp"
+#include "core/thread_pool.hpp"
 #include "gas/constants.hpp"
 #include "scenario/batch.hpp"
 #include "scenario/pulse.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
-#include "scenario/thread_pool.hpp"
 
 namespace {
 
@@ -48,7 +46,7 @@ TEST(ErrorHierarchy, SolverErrorIsACatError) {
 // ---------- thread pool ----------
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  scenario::ThreadPool pool(4);
+  core::ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -56,7 +54,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, SerialPathAndEmptyRange) {
-  scenario::ThreadPool pool(1);
+  core::ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
   int count = 0;
   pool.parallel_for(10, [&](std::size_t) { ++count; });
@@ -65,7 +63,7 @@ TEST(ThreadPool, SerialPathAndEmptyRange) {
 }
 
 TEST(ThreadPool, ExceptionPropagatesAfterDrain) {
-  scenario::ThreadPool pool(3);
+  core::ThreadPool pool(3);
   std::atomic<int> ran{0};
   EXPECT_THROW(
       pool.parallel_for(64,
@@ -83,7 +81,7 @@ TEST(ThreadPool, ConcurrentThrowsSurfaceLowestIndexDeterministically) {
   // failure regardless of scheduling — the deterministic choice — and
   // (c) still run every item. Repeated rounds shake out schedule-
   // dependent orderings; the TSan CI job runs this test instrumented.
-  scenario::ThreadPool pool(4);
+  core::ThreadPool pool(4);
   for (int round = 0; round < 25; ++round) {
     std::atomic<int> ran{0};
     std::string surfaced;
@@ -109,7 +107,7 @@ TEST(ThreadPool, ConcurrentThrowsSurfaceLowestIndexDeterministically) {
 
 TEST(ThreadPool, SerialPathThrowsSameLowestIndexAsThreaded) {
   // The n_threads == 1 fast path must obey the identical contract.
-  scenario::ThreadPool pool(1);
+  core::ThreadPool pool(1);
   try {
     pool.parallel_for(20, [&](std::size_t i) {
       if (i == 5 || i == 17) throw SolverError("item " + std::to_string(i));
@@ -128,7 +126,7 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnCallingThread) {
   // threads while the outer job was still live. The sleep keeps nested
   // items in flight long enough for idle workers to wake and (pre-fix)
   // steal them: 2 outer items on a 4-thread pool leave 2 workers idle.
-  scenario::ThreadPool pool(4);
+  core::ThreadPool pool(4);
   std::atomic<int> foreign{0};
   std::vector<std::atomic<int>> hits(2 * 64);
   pool.parallel_for(2, [&](std::size_t i) {
@@ -147,7 +145,7 @@ TEST(ThreadPool, NestedParallelForStressAndErrorContract) {
   // Every outer item nests; repeated rounds shake schedule-dependent
   // interleavings (the TSan CI job runs this instrumented). The nested
   // inline loop must also keep the lowest-index failure rule.
-  scenario::ThreadPool pool(4);
+  core::ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> sum{0};
     pool.parallel_for(8, [&](std::size_t) {
@@ -178,8 +176,8 @@ TEST(ThreadPool, NestedParallelForStressAndErrorContract) {
 TEST(ThreadPool, NestedAcrossDistinctPoolsStaysThreaded) {
   // The reentrancy guard is per pool: fanning out on a DIFFERENT pool
   // from inside a work item keeps that pool's workers engaged.
-  scenario::ThreadPool outer(2);
-  scenario::ThreadPool inner(2);
+  core::ThreadPool outer(2);
+  core::ThreadPool inner(2);
   std::atomic<int> count{0};
   outer.parallel_for(4, [&](std::size_t) {
     inner.parallel_for(32, [&](std::size_t) { count.fetch_add(1); });
@@ -188,7 +186,7 @@ TEST(ThreadPool, NestedAcrossDistinctPoolsStaysThreaded) {
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {
-  scenario::ThreadPool pool(2);
+  core::ThreadPool pool(2);
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> sum{0};
     pool.parallel_for(50, [&](std::size_t i) {
@@ -312,25 +310,6 @@ TEST(PulseSkipAccounting, CountsSolvedFreeMolecularAndSkipped) {
   EXPECT_GT(pulse.points[0].q_conv, 1e4);
   EXPECT_EQ(pulse.points[1].q_conv, 0.0);
   EXPECT_EQ(pulse.points[2].q_conv, 0.0);
-}
-
-TEST(PulseSkipAccounting, LegacyShimMatchesBatchDriver) {
-  const auto traj = tricky_traj();
-  core::HeatingPulseOptions hopt;
-  hopt.max_points = 8;
-  const auto legacy = core::heating_pulse(
-      traj, trajectory::galileo_class_probe(), cheap_air_solver(), hopt);
-  scenario::PulseOptions popt;
-  popt.max_points = 8;
-  const auto batch =
-      scenario::heating_pulse(traj, trajectory::galileo_class_probe(),
-                              cheap_air_solver(), popt);
-  ASSERT_EQ(legacy.size(), batch.points.size());
-  for (std::size_t k = 0; k < legacy.size(); ++k) {
-    EXPECT_EQ(legacy[k].time, batch.points[k].time);
-    EXPECT_EQ(legacy[k].q_conv, batch.points[k].q_conv);
-    EXPECT_EQ(legacy[k].q_rad, batch.points[k].q_rad);
-  }
 }
 
 // ---------- thread-count determinism ----------

@@ -294,45 +294,6 @@ TEST(Surrogate, RegistryRejectsWrongShapeAndSolverFamily) {
   EXPECT_EQ(scenario::find_surrogate(banked), nullptr);
 }
 
-TEST(Surrogate, LegacyV1RecordLoadsWithStagnationIdentity) {
-  // v1 (CATSURR1) records predate the family/attitude identity fields.
-  // They must keep loading — the committed anchor table is one — and they
-  // carry the identity every v1 builder produced: kStagnationPoint at
-  // zero angle of attack.
-  const std::string path = "surrogate_legacy_v1_test.bin";
-  {
-    io::BinaryWriter w(path);
-    w.write_magic("CATSURR1");
-    w.write_u64(0);  // Planet::kEarth
-    w.write_u64(0);  // GasModelKind::kAir5
-    w.write_f64(0.3);
-    w.write_f64(1000.0);
-    w.write_string("legacy_table");
-    w.write_u64(2);  // n_velocity
-    w.write_u64(2);  // n_altitude
-    w.write_f64(3000.0);
-    w.write_f64(7500.0);
-    w.write_f64(45000.0);
-    w.write_f64(75000.0);
-    for (std::size_t ch = 0; ch < scenario::SurrogateTable::kNChannels;
-         ++ch) {
-      for (int node = 0; node < 4; ++node)
-        w.write_f64(static_cast<double>(ch + 1) * 10.0);
-      w.write_f64(0.5);  // the single cell's bound
-    }
-    w.close();
-  }
-  const auto loaded = scenario::SurrogateTable::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.meta().base_case, "legacy_table");
-  EXPECT_EQ(loaded.meta().family,
-            scenario::SolverFamily::kStagnationPoint);
-  EXPECT_EQ(loaded.meta().angle_of_attack_rad, 0.0);
-  const auto a = loaded.query(5000.0, 60000.0);
-  EXPECT_DOUBLE_EQ(a.q_conv_W_m2, 10.0);
-  EXPECT_DOUBLE_EQ(a.q_conv_err_W_m2, 0.5);
-}
-
 // ---------- corrupt records (hermetic, MemoryWriter + load_memory) -----
 
 // Field-by-field v2 record builder: the default spec is a VALID minimal
@@ -357,43 +318,6 @@ struct V2RecordSpec {
     w.write_f64(nose_radius);
     w.write_f64(wall_temp);
     w.write_f64(aoa);
-    w.write_string(base_case);
-    w.write_u64(nv);
-    w.write_u64(na);
-    w.write_f64(vmin);
-    w.write_f64(vmax);
-    w.write_f64(amin);
-    w.write_f64(amax);
-    if (write_payload) {
-      for (std::size_t ch = 0; ch < scenario::SurrogateTable::kNChannels;
-           ++ch) {
-        for (std::uint64_t k = 0; k < nv * na; ++k) w.write_f64(node);
-        for (std::uint64_t k = 0; k < (nv - 1) * (na - 1); ++k)
-          w.write_f64(bound);
-      }
-    }
-    return w.bytes();
-  }
-};
-
-// Same for the legacy CATSURR1 layout (no family/attitude fields).
-struct V1RecordSpec {
-  std::uint64_t planet = 0, gas = 0;
-  double nose_radius = 0.3, wall_temp = 1000.0;
-  std::string base_case = "crafted_v1";
-  std::uint64_t nv = 2, na = 2;
-  double vmin = 3000.0, vmax = 7500.0;
-  double amin = 45000.0, amax = 75000.0;
-  double node = 10.0, bound = 0.5;
-  bool write_payload = true;
-
-  std::string bytes() const {
-    io::MemoryWriter w;
-    w.write_magic("CATSURR1");
-    w.write_u64(planet);
-    w.write_u64(gas);
-    w.write_f64(nose_radius);
-    w.write_f64(wall_temp);
     w.write_string(base_case);
     w.write_u64(nv);
     w.write_u64(na);
@@ -531,6 +455,27 @@ TEST(Surrogate, CorruptV2RecordsThrowErrorOnly) {
     s.family = 99;
     expect_rejected(s.bytes(), "unknown solver family tag");
   }
+
+  // A well-formed record of the retired CATSURR1 layout (no family or
+  // attitude fields) is refused by its magic.
+  {
+    io::MemoryWriter w;
+    w.write_magic("CATSURR1");
+    w.write_u64(0);  // Planet::kEarth
+    w.write_u64(0);  // GasModelKind::kAir5
+    w.write_f64(0.3);
+    w.write_f64(1000.0);
+    w.write_string("legacy_v1");
+    w.write_u64(2);
+    w.write_u64(2);
+    for (const double x : {3000.0, 7500.0, 45000.0, 75000.0}) w.write_f64(x);
+    for (std::size_t ch = 0; ch < scenario::SurrogateTable::kNChannels;
+         ++ch) {
+      for (int node = 0; node < 4; ++node) w.write_f64(10.0);
+      w.write_f64(0.5);
+    }
+    expect_rejected(w.bytes(), "legacy CATSURR1 record");
+  }
 }
 
 TEST(Surrogate, TruncatedV2RecordRejectedAtEveryCut) {
@@ -542,49 +487,6 @@ TEST(Surrogate, TruncatedV2RecordRejectedAtEveryCut) {
                           full.size() - 1}) {
     expect_rejected(full.substr(0, cut), "truncated v2 record");
   }
-}
-
-TEST(Surrogate, CorruptV1RecordsThrowErrorOnly) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-
-  // The degenerate-grid regression must hold on the legacy path too:
-  // v1 records share the dimension checks with v2.
-  {
-    V1RecordSpec s;
-    s.nv = 0;
-    s.write_payload = false;
-    expect_rejected(s.bytes(), "v1 n_velocity = 0");
-  }
-  {
-    V1RecordSpec s;
-    s.na = 1;
-    expect_rejected(s.bytes(), "v1 n_altitude = 1");
-  }
-  {
-    V1RecordSpec s;
-    s.nv = 60000;
-    s.na = 60000;
-    s.write_payload = false;
-    expect_rejected(s.bytes(), "v1 huge dims over empty payload");
-  }
-  {
-    V1RecordSpec s;
-    s.planet = 99;
-    expect_rejected(s.bytes(), "v1 unknown planet tag");
-  }
-  {
-    V1RecordSpec s;
-    s.amin = nan;
-    expect_rejected(s.bytes(), "v1 NaN altitude_min");
-  }
-  {
-    const std::string full = V1RecordSpec{}.bytes();
-    expect_rejected(full.substr(0, full.size() / 2),
-                    "v1 truncated payload");
-  }
-  // And the valid default still loads, so the rejections above are real.
-  const auto t = load_mem(V1RecordSpec{}.bytes());
-  EXPECT_EQ(t.meta().family, scenario::SolverFamily::kStagnationPoint);
 }
 
 TEST(Surrogate, LoadMemoryMatchesFileLoad) {

@@ -18,13 +18,13 @@
 #include <vector>
 
 #include "arg_parse.hpp"
+#include "core/thread_pool.hpp"
 #include "io/csv.hpp"
 #include "io/json.hpp"
 #include "scenario/batch.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/surrogate.hpp"
-#include "scenario/thread_pool.hpp"
 
 using namespace cat;
 
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
                    target.c_str());
       return 1;
     }
-    if (threads == 0) threads = scenario::ThreadPool::recommended_threads();
+    if (threads == 0) threads = core::ThreadPool::recommended_threads();
     return compare_fidelity(*c, threads);
   }
 
@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (threads == 0) threads = scenario::ThreadPool::recommended_threads();
+  if (threads == 0) threads = core::ThreadPool::recommended_threads();
 
   int rc = 0;
   try {

@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "arg_parse.hpp"
+#include "core/thread_pool.hpp"
 #include "io/json.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/surrogate.hpp"
-#include "scenario/thread_pool.hpp"
 
 using namespace cat;
 
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
                  target.c_str());
     return 1;
   }
-  if (threads == 0) threads = scenario::ThreadPool::recommended_threads();
+  if (threads == 0) threads = core::ThreadPool::recommended_threads();
   opt.threads = threads;
 
   scenario::SurrogateDomain domain;
