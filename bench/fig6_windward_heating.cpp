@@ -22,7 +22,9 @@ int main() {
   gas::EquilibriumSolver eq(gas::make_air5(), {{"N2", 0.79}, {"O2", 0.21}});
   solvers::MarchOptions mopt;
   mopt.wall_temperature_K = 1100.0;  // hot Orbiter tile surface
-  solvers::PnsSolver pns(eq, mopt);
+  const solvers::PnsSolver pns_eq(solvers::make_equilibrium_props(eq), mopt);
+  const solvers::PnsSolver pns_ideal(solvers::make_ideal_props(1.2, 287.053),
+                                     mopt);
 
   atmosphere::EarthAtmosphere atmo;
   const auto a = atmo.at(71300.0);
@@ -32,9 +34,9 @@ int main() {
   const double alpha = 40.0 * M_PI / 180.0;
 
   std::printf("marching PNS: equilibrium air...\n");
-  const auto eq_run = pns.solve_equilibrium(orb, fs, alpha, 32);
+  const auto eq_run = pns_eq.solve(orb, fs, alpha, 32);
   std::printf("marching PNS: ideal gas gamma = 1.2...\n");
-  const auto id_run = pns.solve_ideal(orb, fs, alpha, 1.2, 32);
+  const auto id_run = pns_ideal.solve(orb, fs, alpha, 32);
 
   io::Table table(
       "Fig 6: windward centerline heating, STS-3 condition "

@@ -114,6 +114,17 @@ double Hyperboloid::x_of_s(double s) const {
   return xs_[i - 1] + w * (xs_[i] - xs_[i - 1]);
 }
 
+double Hyperboloid::s_of_x(double x) const {
+  CAT_REQUIRE(x >= 0.0 && x <= length_,
+              "axial station outside the hyperboloid [0, length]");
+  const auto it = std::lower_bound(xs_.begin(), xs_.end(), x);
+  const std::size_t i =
+      std::min<std::size_t>(std::max<std::ptrdiff_t>(it - xs_.begin(), 1),
+                            xs_.size() - 1);
+  const double w = (x - xs_[i - 1]) / (xs_[i] - xs_[i - 1]);
+  return ss_[i - 1] + w * (ss_[i] - ss_[i - 1]);
+}
+
 SurfacePoint Hyperboloid::at(double s) const {
   CAT_REQUIRE(s >= 0.0, "arc length must be non-negative");
   s = std::clamp(s, 0.0, s_max_);

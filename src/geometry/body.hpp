@@ -79,6 +79,10 @@ class Hyperboloid final : public Body {
 
   /// Axial station x for given arc length (monotone helper).
   double x_of_s(double s) const;
+  /// Arc length at axial station \p x: the exact inverse of x_of_s over
+  /// the same table (x_of_s(s_of_x(x)) == x to rounding). Throws
+  /// std::invalid_argument outside [0, length].
+  double s_of_x(double x) const;
 
  private:
   double rn_, theta_inf_, length_, s_max_;

@@ -47,7 +47,8 @@ class VslRunner final : public Runner {
     const auto t0 = detail::Clock::now();
     const auto planet = make_planet(c.planet);
     const auto eq = make_equilibrium(c.gas, c.planet);
-    const solvers::VslSolver vsl(eq, march_options(c));
+    const solvers::VslSolver vsl(solvers::make_equilibrium_props(eq),
+                                 march_options(c));
 
     const double rn = c.vehicle.nose_radius;
     CAT_REQUIRE(rn > 0.0, "VSL case needs a positive nose radius");
@@ -88,19 +89,16 @@ class PnsRunner final : public Runner {
     const geometry::OrbiterGeometry orb;
     const auto fs = march_freestream(c, planet);
 
+    const auto pns = [&](solvers::PropertyProvider props) {
+      return solvers::PnsSolver(std::move(props), march_options(c))
+          .solve(orb, fs, c.angle_of_attack_rad, c.n_stations);
+    };
     std::vector<solvers::PnsStation> march;
     if (c.gas == GasModelKind::kIdealGamma) {
-      // The ideal-gas comparison still carries an equilibrium solver for
-      // the edge construction interface; air5 is the cheapest.
-      const auto eq = make_equilibrium(GasModelKind::kAir5, c.planet);
-      const solvers::PnsSolver pns(eq, march_options(c));
-      march = pns.solve_ideal(orb, fs, c.angle_of_attack_rad, c.ideal_gamma,
-                              c.n_stations);
+      march = pns(solvers::make_ideal_props(c.ideal_gamma, 287.053));
     } else {
       const auto eq = make_equilibrium(c.gas, c.planet);
-      const solvers::PnsSolver pns(eq, march_options(c));
-      march = pns.solve_equilibrium(orb, fs, c.angle_of_attack_rad,
-                                    c.n_stations);
+      march = pns(solvers::make_equilibrium_props(eq));
     }
 
     CaseResult r = make_result(c);
@@ -155,23 +153,7 @@ class EulerBlRunner final : public Runner {
     for (std::size_t k = 0; k < c.n_stations; ++k) {
       const double xl = 0.05 + 0.90 * static_cast<double>(k) /
                                    static_cast<double>(c.n_stations - 1);
-      double slo = 1e-4, shi = body.total_arc_length();
-      // Bisection on the monotone x(s) mapping: 50 halvings pin the
-      // station arc length to ~2^-50 of the body length by construction.
-      for (int it = 0; it < 50; ++it) {  // cat-lint: converges-by-construction
-        const double mid = 0.5 * (slo + shi);
-        (body.at(mid).x / orb.length > xl ? shi : slo) = mid;
-      }
-      const auto pt = body.at(0.5 * (slo + shi));
-      // A target x/L outside the body's [x(slo), x(shi)] span makes the
-      // bisection collapse silently onto an endpoint — the station would
-      // then sit at the wrong place with no signal. Guard it.
-      if (std::fabs(pt.x / orb.length - xl) > 1e-3) {
-        throw SolverError(
-            "E+BL station placement: x/L target not reachable on the "
-            "equivalent-hyperboloid arc (bisection collapsed to an "
-            "endpoint)");
-      }
+      const auto pt = body.at(body.s_of_x(xl * orb.length));
       const double sth = std::sin(std::max(pt.theta, 0.02));
       stations.push_back(
           {pt.s, solvers::metric_radius(pt.r, pt.s, body.nose_radius()),

@@ -1,107 +1,34 @@
 #include "solvers/pns/pns.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/error.hpp"
 
 namespace cat::solvers {
 
-PnsSolver::PnsSolver(const gas::EquilibriumSolver& eq, MarchOptions opt)
-    : eq_(eq), opt_(opt) {}
+PnsSolver::PnsSolver(PropertyProvider props, MarchOptions opt)
+    : props_(std::move(props)), opt_(std::move(opt)) {}
 
-std::vector<PnsStation> PnsSolver::run(
+std::vector<PnsStation> PnsSolver::solve(
     const geometry::OrbiterGeometry& orbiter, const MarchFreestream& fs,
-    double alpha_rad, std::size_t n, const PropertyProvider& props,
-    double gamma_for_edges) const {
+    double alpha_rad, std::size_t n) const {
   CAT_REQUIRE(n >= 4, "need at least four stations");
   const geometry::Hyperboloid body = orbiter.equivalent_hyperboloid(alpha_rad);
 
-  // Freestream enthalpy through the validated shared bisection (the old
-  // local copy clamped out-of-bracket freestreams to +-5e6/5e7 J/kg
-  // silently).
-  const double h_inf = enthalpy_at_temperature(props, fs.p, fs.t);
-  const double h_total = h_inf + 0.5 * fs.velocity * fs.velocity;
-  const double q_dyn = 0.5 * fs.rho * fs.velocity * fs.velocity;
-
-  // Stagnation pressure coefficient: Rayleigh-pitot through the property
-  // provider (shared density-ratio fixed point, as in the VSL front end).
-  const PitotSolution pitot = solve_rayleigh_pitot(
-      [&props](double p2, double h2) { return props(p2, h2).rho; }, fs,
-      h_inf);
-  const double cp_max = (pitot.p_stag - fs.p) / q_dyn;
-
-  // Stations uniform in x/L (clustered near the nose with a sqrt map).
-  std::vector<MarchEdge> edges;
-  edges.reserve(n);
+  // Stations at x/L = (k/n)^2, k = 1..n: clustered toward the nose.
+  std::vector<double> s(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double frac = (static_cast<double>(i) + 1.0) /
-                        static_cast<double>(n);
-    const double x_target = orbiter.length * frac * frac;  // nose-clustered
-    // Invert x(s) by bisection on the hyperboloid arc length.
-    double slo = 1e-4 * orbiter.length, shi = body.total_arc_length();
-    for (int k = 0; k < 60; ++k) {
-      const double mid = 0.5 * (slo + shi);
-      if (body.at(mid).x > x_target) {
-        shi = mid;
-      } else {
-        slo = mid;
-      }
-    }
-    const double s = 0.5 * (slo + shi);
-    const geometry::SurfacePoint pt = body.at(s);
-
-    MarchEdge e;
-    e.s = s;
-    e.r = metric_radius(pt.r, s, body.nose_radius());
-    const double sth = std::sin(std::clamp(pt.theta, 0.02, 0.5 * M_PI));
-    e.p_e = fs.p + cp_max * q_dyn * sth * sth;
-    e.ue = std::max(fs.velocity * std::cos(pt.theta), 30.0);
-    e.h_e = h_total - 0.5 * e.ue * e.ue;
-    const PhState st = props(e.p_e, e.h_e);
-    e.rho_e = st.rho;
-    e.t_e = st.t;
-    e.mu_e = st.mu;
-    // Vigneron fraction from the local edge Mach number (a^2 ~ (g-1) h is
-    // exact for the perfect gas and a few-percent approximation for
-    // equilibrium air at these enthalpies).
-    const double a_e =
-        std::sqrt(std::max((gamma_for_edges - 1.0) * e.h_e, 1.0));
-    const double m_e = e.ue / a_e;
-    e.vigneron_omega =
-        std::min(1.0, gamma_for_edges * m_e * m_e /
-                          (1.0 + (gamma_for_edges - 1.0) * m_e * m_e));
-    edges.push_back(e);
+    const double frac =
+        static_cast<double>(i + 1) / static_cast<double>(n);
+    s[i] = body.s_of_x(orbiter.length * frac * frac);
   }
-
-  ParabolicMarcher marcher(props, opt_);
-  const auto stations = marcher.march(edges, h_total);
+  const MarchEdges edges = march_edges(props_, body, fs, s, true);
+  const auto stations =
+      ParabolicMarcher(props_, opt_).march(edges.stations, edges.h_total);
 
   std::vector<PnsStation> out;
   out.reserve(stations.size());
-  for (std::size_t i = 0; i < stations.size(); ++i) {
-    PnsStation p;
-    p.x_over_l = body.at(stations[i].s).x / orbiter.length;
-    p.q_w = stations[i].q_w;
-    p.p_e = stations[i].p_e;
-    p.ue = stations[i].ue;
-    out.push_back(p);
-  }
+  for (const MarchStationResult& st : stations)
+    out.push_back({body.at(st.s).x / orbiter.length, st.q_w, st.p_e, st.ue});
   return out;
-}
-
-std::vector<PnsStation> PnsSolver::solve_equilibrium(
-    const geometry::OrbiterGeometry& orbiter, const MarchFreestream& fs,
-    double alpha_rad, std::size_t n) const {
-  return run(orbiter, fs, alpha_rad, n, make_equilibrium_props(eq_), 1.2);
-}
-
-std::vector<PnsStation> PnsSolver::solve_ideal(
-    const geometry::OrbiterGeometry& orbiter, const MarchFreestream& fs,
-    double alpha_rad, double gamma, std::size_t n) const {
-  const double r_gas = 287.053;
-  return run(orbiter, fs, alpha_rad, n, make_ideal_props(gamma, r_gas),
-             gamma);
 }
 
 }  // namespace cat::solvers

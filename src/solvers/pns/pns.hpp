@@ -6,14 +6,16 @@
 ///
 /// Formulation: the windward symmetry plane at angle of attack is treated
 /// with the axisymmetric analog (equivalent hyperboloid body — the
-/// era-standard treatment used by Refs. 16-21). The marching core is the
-/// shared parabolic solver of vsl.hpp; the PNS character comes from
-/// (a) the full thin-layer marching of the nonsimilar profile equations
-/// and (b) the Vigneron splitting, which admits only the well-posed
-/// fraction omega = gamma M^2/(1+(gamma-1)M^2) of the streamwise pressure
-/// gradient where the layer is subsonic.
+/// era-standard treatment used by Refs. 16-21). Edge conditions come from
+/// march_edges (vsl.hpp), the closure VSL and E+BL share: modified-
+/// Newtonian pressure and an isentropic expansion of the stagnation state.
+/// The marching core is the shared parabolic solver of vsl.hpp; the PNS
+/// character comes from (a) the full thin-layer marching of the
+/// nonsimilar profile equations and (b) the Vigneron splitting, which
+/// admits only the well-posed fraction omega = g M^2/(1+(g-1)M^2) of the
+/// streamwise pressure gradient where the edge flow is subsonic, with M
+/// and g from the sound speed of the edge isentrope.
 
-#include "gas/equilibrium.hpp"
 #include "geometry/body.hpp"
 #include "solvers/vsl/vsl.hpp"
 
@@ -27,33 +29,23 @@ struct PnsStation {
   double ue;        ///< edge velocity [m/s]
 };
 
-/// PNS front end over an Orbiter-like windward plane.
+/// PNS front end over an Orbiter-like windward plane. The provider picks
+/// the gas: make_equilibrium_props for Fig. 6's "EQUILIBRIUM AIR" curve,
+/// make_ideal_props(1.2, ...) for its "IDEAL GAS (gamma = 1.2)" curve.
 class PnsSolver {
  public:
-  /// Equilibrium-air marching (the "EQUILIBRIUM AIR" curve of Fig. 6).
-  PnsSolver(const gas::EquilibriumSolver& eq, MarchOptions opt = {});
+  explicit PnsSolver(PropertyProvider props, MarchOptions opt = {});
 
   /// March over the equivalent body for freestream \p fs at angle of
-  /// attack \p alpha_rad; returns stations over x/L in (0, 1].
-  std::vector<PnsStation> solve_equilibrium(
-      const geometry::OrbiterGeometry& orbiter, const MarchFreestream& fs,
-      double alpha_rad, std::size_t n_stations) const;
-
-  /// Calorically perfect comparison gas (Fig. 6's "IDEAL GAS
-  /// (gamma = 1.2)" curve): same marching, ideal-gas properties.
-  std::vector<PnsStation> solve_ideal(
-      const geometry::OrbiterGeometry& orbiter, const MarchFreestream& fs,
-      double alpha_rad, double gamma, std::size_t n_stations) const;
+  /// attack \p alpha_rad; returns stations over x/L in (0, 1], clustered
+  /// toward the nose (x/L = (k/n)^2).
+  std::vector<PnsStation> solve(const geometry::OrbiterGeometry& orbiter,
+                                const MarchFreestream& fs, double alpha_rad,
+                                std::size_t n_stations) const;
 
  private:
-  const gas::EquilibriumSolver& eq_;
+  PropertyProvider props_;
   MarchOptions opt_;
-
-  std::vector<PnsStation> run(const geometry::OrbiterGeometry& orbiter,
-                              const MarchFreestream& fs, double alpha_rad,
-                              std::size_t n_stations,
-                              const PropertyProvider& props,
-                              double gamma_for_edges) const;
 };
 
 }  // namespace cat::solvers

@@ -131,8 +131,7 @@ PitotSolution solve_rayleigh_pitot(const DensityProvider& rho_of_ph,
         " iterations");
   PitotSolution out;
   out.eps = eps;
-  out.p_stag = fs.p + fs.rho * fs.velocity * fs.velocity * (1.0 - eps) *
-                          (1.0 + 0.5 * eps);
+  out.p_stag = fs.p + fs.rho * fs.velocity * fs.velocity * (1.0 - 0.5 * eps);
   return out;
 }
 
@@ -233,9 +232,9 @@ std::vector<MarchStationResult> ParabolicMarcher::march(
     const double two_xi = 2.0 * xi[i];
 
     // Pressure-gradient parameter with the Vigneron fraction applied
-    // (PNS splitting: only omega of the streamwise gradient is admitted).
-    // due/dxi uses the same backward stencil as the history terms so the
-    // whole station closes at the streamwise design order.
+    // (PNS splitting: only omega of the streamwise gradient is admitted):
+    // beta = (2 xi/ue) due/dxi with due/dxi = (due/ds)/(dxi/ds) from the
+    // edge closure, exact at every station.
     double beta;
     if (i == 0) {
       beta = 0.5;
@@ -245,10 +244,8 @@ std::vector<MarchStationResult> ParabolicMarcher::march(
         g[j] = g_w + (1.0 - g_w) * std::min(1.0, 1.5 * z);
       }
     } else {
-      const double due_dxi = bdf2 ? cx0 * edges[i].ue + cx1 * edges[i - 1].ue +
-                                        cx2 * edges[i - 2].ue
-                                  : cx0 * (edges[i].ue - edges[i - 1].ue);
-      beta = std::clamp(2.0 * xi[i] / ed.ue * due_dxi, -0.15, 1.0);
+      const double dxi_ds = ed.rho_e * ed.mu_e * ed.ue * ed.r * ed.r;
+      beta = std::clamp(2.0 * xi[i] / ed.ue * ed.due_ds / dxi_ds, -0.15, 1.0);
       beta *= ed.vigneron_omega;
     }
 
@@ -408,36 +405,55 @@ std::vector<MarchStationResult> ParabolicMarcher::march(
   return out;
 }
 
-VslSolver::VslSolver(const gas::EquilibriumSolver& eq, MarchOptions opt)
-    : eq_(eq), opt_(opt) {}
+namespace {
 
-std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
-                                              const MarchFreestream& fs,
-                                              double s_min, double s_max,
-                                              std::size_t n, bool vigneron) const {
-  CAT_REQUIRE(n >= 2 && s_max > s_min && s_min > 0.0, "bad station range");
-  transport::MixtureTransport trans(eq_.mixture());
-  const auto cold = eq_.solve_tp(std::max(fs.t, 160.0), fs.p);
-  const double h_total = cold.h + 0.5 * fs.velocity * fs.velocity;
+/// RK4 steps of the isentropic expansion dh/d(ln p) = p/rho(p, h). The
+/// integrand is smooth along an isentrope (exactly (gamma-1)/gamma h for a
+/// perfect gas): four steps hold air5's h_e within 1e-5 of the enthalpy
+/// drop h_total - h_e of EquilibriumSolver::expand_isentropic down to
+/// p_e/p_stag = 2e-3, and within 1e-8 at 0.1.
+constexpr int kIsentropeSteps = 4;
+
+/// Enthalpy at pressure \p p on the isentrope through (\p p0, \p h0).
+double isentrope_enthalpy(const PropertyProvider& props, double p0,
+                          double h0, double p) {
+  const double l0 = std::log(p0);
+  const double dl = (std::log(p) - l0) / kIsentropeSteps;
+  const auto dh_dlnp = [&](double lnp, double h) {
+    const double pp = std::exp(lnp);
+    return pp / props(pp, h).rho;
+  };
+  double h = h0;
+  for (int k = 0; k < kIsentropeSteps; ++k) {
+    const double l = l0 + k * dl;
+    const double k1 = dh_dlnp(l, h);
+    const double k2 = dh_dlnp(l + 0.5 * dl, h + 0.5 * dl * k1);
+    const double k3 = dh_dlnp(l + 0.5 * dl, h + 0.5 * dl * k2);
+    const double k4 = dh_dlnp(l + dl, h + dl * k3);
+    h += dl / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+  }
+  return h;
+}
+
+}  // namespace
+
+MarchEdges march_edges(const PropertyProvider& props,
+                       const geometry::Body& body, const MarchFreestream& fs,
+                       std::span<const double> stations, bool vigneron) {
+  CAT_REQUIRE(props != nullptr && !stations.empty(),
+              "march_edges needs a provider and stations");
+  const double h_inf = enthalpy_at_temperature(props, fs.p, fs.t);
+  const double h_total = h_inf + 0.5 * fs.velocity * fs.velocity;
   const double q_dyn = 0.5 * fs.rho * fs.velocity * fs.velocity;
-
-  // Stagnation pressure coefficient from the equilibrium normal shock
-  // (Rayleigh-pitot density-ratio fixed point, shared with the PNS
-  // front end); each post-shock inversion is seeded by the previous one.
-  gas::EquilibriumResult st;
   const PitotSolution pitot = solve_rayleigh_pitot(
-      [&](double p2, double h2) {
-        st = eq_.solve_ph(p2, h2, &st);
-        return st.rho;
-      },
-      fs, cold.h);
+      [&props](double p2, double h2) { return props(p2, h2).rho; }, fs,
+      h_inf);
   const double cp_max = (pitot.p_stag - fs.p) / q_dyn;
 
-  std::vector<MarchEdge> edges;
-  edges.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = s_min + (s_max - s_min) * static_cast<double>(i) /
-                                 static_cast<double>(n - 1);
+  MarchEdges out{{}, h_total};
+  out.stations.reserve(stations.size());
+  for (const double s : stations) {
+    CAT_REQUIRE(s > 0.0, "march_edges: stations must have s > 0");
     const geometry::SurfacePoint pt = body.at(s);
     // Modified-Newtonian surface pressure at local incidence theta.
     const double sth = std::sin(std::clamp(pt.theta, 0.02, 0.5 * M_PI));
@@ -445,37 +461,54 @@ std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
     e.s = s;
     e.r = metric_radius(pt.r, s, body.nose_radius());
     e.p_e = fs.p + cp_max * q_dyn * sth * sth;
-    // Thin shock layer: tangential velocity preserved across the shock.
-    e.ue = std::max(fs.velocity * std::cos(pt.theta), 30.0);
-    e.h_e = h_total - 0.5 * e.ue * e.ue;
-    st = eq_.solve_ph(e.p_e, e.h_e, &st);
+    e.h_e = isentrope_enthalpy(props, pitot.p_stag, h_total, e.p_e);
+    if (!(e.h_e < h_total))
+      throw SolverError("march_edges: no edge velocity at s = " +
+                        std::to_string(s) +
+                        " m (p_e at the stagnation pressure)");
+    e.ue = std::sqrt(2.0 * (h_total - e.h_e));
+    const PhState st = props(e.p_e, e.h_e);
     e.rho_e = st.rho;
     e.t_e = st.t;
-    e.mu_e = trans.viscosity(st.y, st.t);
-    e.vigneron_omega = 1.0;
+    e.mu_e = st.mu;
+    // Along the isentrope ue due = -dp/rho; dp_e/ds from the Newtonian
+    // law with dtheta/ds = curvature (zero where theta is clamped).
+    const bool clamped = pt.theta <= 0.02 || pt.theta >= 0.5 * M_PI;
+    const double dp_ds = clamped ? 0.0
+                                 : cp_max * q_dyn * std::sin(2.0 * pt.theta) *
+                                       pt.curvature;
+    e.due_ds = -dp_ds / (e.rho_e * e.ue);
     if (vigneron) {
-      // Vigneron splitting: fraction of dp/ds admitted in subsonic layers,
-      // omega = gamma M^2 / (1 + (gamma-1) M^2), capped at 1.
-      const double a_e = eq_.mixture().frozen_sound_speed(st.y, st.t);
-      const double m_e = e.ue / a_e;
-      const double gam = eq_.mixture().gamma_frozen(st.y, st.t);
-      e.vigneron_omega = std::min(
-          1.0, gam * m_e * m_e / (1.0 + (gam - 1.0) * m_e * m_e));
+      // Sound speed of the same isentrope, a^2 = dp/drho|_s, by a centred
+      // difference along it (dh = dp/rho); the O(dp^2) enthalpy offsets
+      // of the two sides cancel in the difference.
+      const double dp = 1e-3 * e.p_e;
+      const double dh = dp / e.rho_e;
+      const double a2 = 2.0 * dp / (props(e.p_e + dp, e.h_e + dh).rho -
+                                    props(e.p_e - dp, e.h_e - dh).rho);
+      const double gam = e.rho_e * a2 / e.p_e;  // isentropic exponent
+      const double m2 = e.ue * e.ue / a2;
+      e.vigneron_omega =
+          std::min(1.0, gam * m2 / (1.0 + (gam - 1.0) * m2));
     }
-    edges.push_back(e);
+    out.stations.push_back(e);
   }
-  return edges;
+  return out;
 }
+
+VslSolver::VslSolver(PropertyProvider props, MarchOptions opt)
+    : props_(std::move(props)), opt_(std::move(opt)) {}
 
 std::vector<MarchStationResult> VslSolver::solve(
     const geometry::Body& body, const MarchFreestream& fs, double s_min,
-    double s_max, std::size_t n_stations) const {
-  const auto edges =
-      build_edges(body, fs, s_min, s_max, n_stations, /*vigneron=*/false);
-  const auto cold = eq_.solve_tp(std::max(fs.t, 160.0), fs.p);
-  const double h_total = cold.h + 0.5 * fs.velocity * fs.velocity;
-  ParabolicMarcher marcher(make_equilibrium_props(eq_), opt_);
-  return marcher.march(edges, h_total);
+    double s_max, std::size_t n) const {
+  CAT_REQUIRE(n >= 2 && s_max > s_min && s_min > 0.0, "bad station range");
+  std::vector<double> s(n);
+  for (std::size_t i = 0; i < n; ++i)
+    s[i] = s_min + (s_max - s_min) * static_cast<double>(i) /
+                       static_cast<double>(n - 1);
+  const MarchEdges edges = march_edges(props_, body, fs, s, false);
+  return ParabolicMarcher(props_, opt_).march(edges.stations, edges.h_total);
 }
 
 }  // namespace cat::solvers

@@ -12,11 +12,14 @@
 /// streamwise station the normal-direction momentum and total-enthalpy
 /// equations are solved implicitly (scalar tridiagonal sweeps with Picard
 /// linearization), with backward-difference streamwise history terms.
-/// Edge conditions come from the local equilibrium oblique-shock state
-/// (thin-shock-layer closure) with a modified-Newtonian surface pressure.
+/// Edge conditions come from march_edges: a modified-Newtonian surface
+/// pressure and an isentropic expansion of the Rayleigh-pitot stagnation
+/// state to it — the closure the E+BL solver uses — so the VSL, PNS and
+/// E+BL tiers see the same edge for the same flight state.
 ///
-/// The same marching core drives the PNS solver (solvers/pns), which adds
-/// the Vigneron streamwise-pressure-gradient splitting.
+/// The same edge closure and marching core drive the PNS solver
+/// (solvers/pns), which adds the Vigneron streamwise-pressure-gradient
+/// splitting.
 
 #include <cstddef>
 #include <functional>
@@ -39,9 +42,18 @@ struct MarchEdge {
   double mu_e;    ///< edge viscosity [Pa s]
   double t_e;     ///< edge temperature [K]
   /// Vigneron fraction of the streamwise pressure gradient admitted by the
-  /// marching scheme (1 = full, used by VSL; PNS reduces it when the edge
-  /// flow is subsonic to keep the march well posed).
+  /// marching scheme: 1 (full) for VSL. For PNS, march_edges sets
+  /// omega = g M^2 / (1 + (g - 1) M^2), capped at 1, where the edge Mach
+  /// number M and the isentropic exponent g = rho a^2 / p both come from
+  /// the sound speed a^2 = dp/drho|_s of the edge isentrope, so subsonic
+  /// edges keep the march well posed.
   double vigneron_omega = 1.0;
+  /// Edge velocity gradient along the arc, due/ds [1/s]; the marcher
+  /// evaluates beta = (2 xi/ue) due/dxi from it pointwise. A backward
+  /// difference of ue in xi is no substitute: ue ~ xi^(1/4) near the
+  /// stagnation point, and ue has a slope break wherever the body does
+  /// (a sphere-cone tangency).
+  double due_ds = 0.0;
 };
 
 /// Station output of the marching solver.
@@ -113,7 +125,7 @@ StreamwiseCoeffs streamwise_coeffs(double d1, double d2, bool bdf2);
 /// it; throws SolverError when the provider cannot reach \p t at all
 /// (the legacy hard-coded bracket silently clamped such targets to an
 /// endpoint). Shared by the marching core's wall-enthalpy solve and the
-/// PNS freestream-enthalpy lookup.
+/// march_edges freestream-enthalpy lookup.
 double enthalpy_at_temperature(const PropertyProvider& props, double p,
                                double t);
 
@@ -127,17 +139,21 @@ using DensityProvider = std::function<double(double p, double h)>;
 
 /// Equilibrium Rayleigh-pitot stagnation state behind a normal shock:
 /// fixed-point iteration on the density ratio eps = rho_inf/rho_2 with
-/// the post-shock state evaluated through \p rho_of_ph. Shared by the VSL
-/// and PNS front ends (it used to be duplicated in both, each exiting its
-/// iteration loop silently when unconverged). Throws SolverError when the
-/// damped iteration has not converged to \p tol after \p max_iters. The
+/// the post-shock state evaluated through \p rho_of_ph. Shared by
+/// march_edges and the stagnation-line solver (it used to be duplicated in
+/// the VSL and PNS front ends, each exiting its iteration loop silently
+/// when unconverged). Throws SolverError when the damped iteration has
+/// not converged to \p tol after \p max_iters. The
 /// default tolerance is loose enough (eps is O(0.1), so 1e-10 is ~1e-9
 /// relative — far beyond the physics) that O(1e-11) interpolation
 /// non-smoothness of table-backed rho(p, h) providers cannot limit-cycle
 /// a physically-converged iteration into the throw.
 struct PitotSolution {
   double eps;     ///< post-shock density ratio rho_inf/rho_2
-  double p_stag;  ///< stagnation-point pressure [Pa]
+  /// Stagnation-point pressure [Pa]: the post-shock static pressure plus
+  /// the recovered post-shock kinetic head, p2 + rho2 u2^2 / 2 =
+  /// p_inf + rho_inf V^2 (1 - eps/2) — the stagnation-line solver's closure.
+  double p_stag;
 };
 PitotSolution solve_rayleigh_pitot(const DensityProvider& rho_of_ph,
                                    const MarchFreestream& fs, double h_inf,
@@ -157,6 +173,29 @@ PitotSolution solve_rayleigh_pitot(const DensityProvider& rho_of_ph,
 /// silently distort xi and q_w.
 double metric_radius(double r, double s, double rn);
 
+/// Edge states of a VSL/PNS march and the freestream total enthalpy the
+/// marching core normalizes by.
+struct MarchEdges {
+  std::vector<MarchEdge> stations;
+  double h_total;  ///< freestream total enthalpy [J/kg]
+};
+
+/// The one edge closure of the VSL and PNS marches, through \p props
+/// alone. The freestream enthalpy comes from enthalpy_at_temperature and
+/// the stagnation pressure from solve_rayleigh_pitot. Each station's
+/// modified-Newtonian pressure p_e then sets (h_e, u_e) by an isentropic
+/// expansion of the stagnation state (p_stag, h_total): dh = dp/rho(p, h),
+/// integrated in ln p with a fixed number of RK4 steps, so equilibrium and
+/// calorically perfect providers take the same path. The same isentrope
+/// gives due/ds (ue due = -dp/rho, dp_e/ds from the body curvature) and,
+/// with \p vigneron, the Vigneron fraction from its sound speed;
+/// otherwise omega = 1. \p stations are arc lengths, each > 0.
+/// Throws SolverError when a station has no edge velocity (p_e at the
+/// stagnation pressure).
+MarchEdges march_edges(const PropertyProvider& props,
+                       const geometry::Body& body, const MarchFreestream& fs,
+                       std::span<const double> stations, bool vigneron);
+
 /// Nonsimilar parabolic marching core shared by the VSL and PNS solvers.
 class ParabolicMarcher {
  public:
@@ -172,27 +211,21 @@ class ParabolicMarcher {
   MarchOptions opt_;
 };
 
-/// VSL solver over an axisymmetric body: builds thin-shock-layer edge
-/// conditions (equilibrium oblique shock + modified Newtonian pressure)
-/// from the body geometry and marches the shock layer.
+/// VSL solver over an axisymmetric body: march_edges edge conditions
+/// marched through the shared parabolic core with the full streamwise
+/// pressure gradient.
 class VslSolver {
  public:
-  VslSolver(const gas::EquilibriumSolver& eq, MarchOptions opt = {});
+  explicit VslSolver(PropertyProvider props, MarchOptions opt = {});
 
-  /// March over body arc [s_min, s_max] with n stations.
+  /// March over body arc [s_min, s_max] with n uniform stations.
   std::vector<MarchStationResult> solve(const geometry::Body& body,
                                         const MarchFreestream& fs,
                                         double s_min, double s_max,
                                         std::size_t n_stations) const;
 
-  /// Edge construction exposed for tests and for the PNS front end.
-  std::vector<MarchEdge> build_edges(const geometry::Body& body,
-                                     const MarchFreestream& fs, double s_min,
-                                     double s_max, std::size_t n_stations,
-                                     bool vigneron) const;
-
  private:
-  const gas::EquilibriumSolver& eq_;
+  PropertyProvider props_;
   MarchOptions opt_;
 };
 

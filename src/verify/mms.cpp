@@ -340,6 +340,7 @@ solvers::MarchEdge MarchStreamwiseManufactured::edge(double s) const {
   e.r = r_body;
   e.p_e = p_edge;
   e.ue = ue(s);
+  e.due_ds = u1;
   e.h_e = h_total - 0.5 * e.ue * e.ue;
   e.rho_e = rho_c;
   e.mu_e = mu_c;

@@ -59,6 +59,24 @@ TEST(Geometry, HyperboloidArcLengthConsistency) {
   EXPECT_NEAR(dist, ds, 0.02 * ds);
 }
 
+TEST(Geometry, HyperboloidStationPlacementInvertsArcLength) {
+  // s_of_x is the exact inverse of x_of_s on the shared table: stations
+  // placed by x land where asked, across the whole body and at its ends.
+  Hyperboloid h(1.3, 0.68, 32.77);
+  for (const double x : {0.0, 1e-4, 0.128, 1.0, 7.5, 20.0, 32.77}) {
+    const double s = h.s_of_x(x);
+    EXPECT_NEAR(h.x_of_s(s), x, 1e-12 * 32.77) << x;
+    EXPECT_NEAR(h.at(s).x, x, 1e-12 * 32.77) << x;
+  }
+  EXPECT_EQ(h.s_of_x(0.0), 0.0);
+  EXPECT_NEAR(h.s_of_x(32.77), h.total_arc_length(),
+              1e-12 * h.total_arc_length());
+  // Outside [0, length] there is no station: a loud error, not an
+  // endpoint.
+  EXPECT_THROW((void)h.s_of_x(-1e-9), std::invalid_argument);
+  EXPECT_THROW((void)h.s_of_x(32.77 * (1.0 + 1e-12)), std::invalid_argument);
+}
+
 TEST(Geometry, BiconicBreaks) {
   Biconic bc(0.05, 0.35, 0.15, 0.4, 1.0);
   EXPECT_NEAR(bc.at(bc.total_arc_length()).theta, 0.15, 1e-12);

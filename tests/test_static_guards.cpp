@@ -121,11 +121,12 @@ TEST(ConvergenceGuards, GaussLegendreHighOrderNodesConverge) {
   EXPECT_NEAR(integral, 1.0, 1e-14);
 }
 
-// ---- scenario/runner_march.cpp: E+BL station placement bisection ----
+// ---- scenario/runner_march.cpp: E+BL station placement ----
 
 TEST(ConvergenceGuards, EblStationPlacementCoversBodySpan) {
-  // The x/L -> s bisection now verifies it actually hit its target
-  // instead of collapsing silently onto an arc endpoint. A dense station
+  // x/L -> s goes through Hyperboloid::s_of_x, which inverts the body's
+  // own arc-length table and throws outside the body instead of
+  // collapsing silently onto an arc endpoint. A dense station
   // distribution over the full span must come back monotone in x/L with
   // no placement throw.
   const auto* base = cat::scenario::find_scenario("orbiter_windward_ebl");
